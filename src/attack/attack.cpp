@@ -269,10 +269,7 @@ nn::Tensor CraftContext::current_obs_gradient(std::size_t position,
   targets[position] = action;
   weights[position] = 1.0f;
   nn::LossResult loss = nn::softmax_cross_entropy(logits, targets, weights);
-  model_.zero_grad();  // keep parameter grads clean, as the full path does
-  nn::Tensor grad = model_.backward_to_current(loss.grad);
-  model_.zero_grad();
-  return grad;
+  return model_.backward_to_current(loss.grad);
 }
 
 std::pair<std::vector<std::size_t>, nn::Tensor>
@@ -350,10 +347,7 @@ nn::Tensor CraftContext::logit_diff_gradient(std::size_t position,
   nn::Tensor grad_logits(logits.shape());
   grad_logits[position * actions + a] = 1.0f;
   grad_logits[position * actions + b] -= 1.0f;  // a == b yields zero grad
-  model_.zero_grad();
-  nn::Tensor grad = model_.backward_to_current(grad_logits);
-  model_.zero_grad();
-  return grad;
+  return model_.backward_to_current(grad_logits);
 }
 
 nn::Tensor Attack::perturb(seq2seq::Seq2SeqModel& model,

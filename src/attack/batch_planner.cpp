@@ -451,9 +451,7 @@ void BatchedCraftPlanner::flush_locked() {
   }
 
   if (any_gradient) {
-    model_.zero_grad();  // parameter grads stay clean, as the row path does
     nn::Tensor grads = model_.backward_to_current_batch(grad_logits);
-    model_.zero_grad();
     obs::Span span(metrics.scatter);
     for (std::size_t r = 0; r < rows; ++r) {
       Probe& probe = *queue_[r];

@@ -165,6 +165,14 @@ Tensor Conv2D::forward(const Tensor& input) {
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
+  return backward_pass(grad_output, /*param_grads=*/true);
+}
+
+Tensor Conv2D::backward_input(const Tensor& grad_output) {
+  return backward_pass(grad_output, /*param_grads=*/false);
+}
+
+Tensor Conv2D::backward_pass(const Tensor& grad_output, bool param_grads) {
   const std::size_t batch = cached_input_.dim(0), h = cached_input_.dim(2),
                     w = cached_input_.dim(3);
   const std::size_t oh = out_extent(h), ow = out_extent(w);
@@ -185,32 +193,38 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   // Weight/bias gradients are shared across batch items, so each chunk
   // accumulates into its own buffer and the chunks are reduced in index
   // order afterwards. Chunk layout depends only on (batch, grain), keeping
-  // the result bit-identical for every RLATTACK_THREADS setting.
+  // the result bit-identical for every RLATTACK_THREADS setting. The input
+  // gradient is per item, so the input-only pass allocates no chunks.
   auto& pool = util::ThreadPool::global();
   const std::size_t grain = 4;
-  const std::size_t nchunks = util::ThreadPool::chunk_count(batch, grain);
-  std::vector<Tensor> gw_chunks(nchunks, Tensor({out_c_, ckk}));
-  std::vector<Tensor> gb_chunks(nchunks, Tensor({out_c_}));
+  std::vector<Tensor> gw_chunks, gb_chunks;
+  if (param_grads) {
+    const std::size_t nchunks = util::ThreadPool::chunk_count(batch, grain);
+    gw_chunks.assign(nchunks, Tensor({out_c_, ckk}));
+    gb_chunks.assign(nchunks, Tensor({out_c_}));
+  }
   pool.parallel_for_chunks(
       batch, grain,
       [&](std::size_t chunk, std::size_t b0, std::size_t b1) {
-        tl_col.resize(ckk * ohow);
         tl_dcol.resize(ckk * ohow);
-        float* gw_acc = gw_chunks[chunk].raw();
-        float* gb_acc = gb_chunks[chunk].raw();
+        if (param_grads) tl_col.resize(ckk * ohow);
         for (std::size_t b = b0; b < b1; ++b) {
           const float* gb_plane = g + b * out_c_ * ohow;
-          im2col(geom, x + b * in_c_ * h * w, tl_col.data());
-          for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            const float* row = gb_plane + oc * ohow;
-            float s = 0.0f;
-            for (std::size_t i = 0; i < ohow; ++i) s += row[i];
-            gb_acc[oc] += s;
+          if (param_grads) {
+            float* gw_acc = gw_chunks[chunk].raw();
+            float* gb_acc = gb_chunks[chunk].raw();
+            im2col(geom, x + b * in_c_ * h * w, tl_col.data());
+            for (std::size_t oc = 0; oc < out_c_; ++oc) {
+              const float* row = gb_plane + oc * ohow;
+              float s = 0.0f;
+              for (std::size_t i = 0; i < ohow; ++i) s += row[i];
+              gb_acc[oc] += s;
+            }
+            // dW += g_b col^T : [out_c, C*k*k]
+            kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kYes, out_c_,
+                           ckk, ohow, gb_plane, ohow, tl_col.data(), ohow,
+                           gw_acc, ckk, /*accumulate=*/true);
           }
-          // dW += g_b col^T : [out_c, C*k*k]
-          kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kYes, out_c_,
-                         ckk, ohow, gb_plane, ohow, tl_col.data(), ohow,
-                         gw_acc, ckk, /*accumulate=*/true);
           // dcol = W^T g_b : [C*k*k, OH*OW], then scatter back to the input.
           kernels::sgemm(kernels::Trans::kYes, kernels::Trans::kNo, ckk, ohow,
                          out_c_, weight_.raw(), ckk, gb_plane, ohow,
@@ -218,7 +232,7 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
           col2im_accumulate(geom, tl_dcol.data(), gx + b * in_c_ * h * w);
         }
       });
-  for (std::size_t c = 0; c < nchunks; ++c) {
+  for (std::size_t c = 0; c < gw_chunks.size(); ++c) {
     grad_weight_ += gw_chunks[c].reshaped({out_c_, in_c_, k_, k_});
     grad_bias_ += gb_chunks[c];
   }

@@ -44,27 +44,35 @@ Tensor Dense::forward(const Tensor& input) {
   return out_buf_;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
-  Tensor g = grad_output.rank() == 1
-                 ? grad_output.reshaped({1, grad_output.size()})
-                 : grad_output;
-  if (g.rank() != 2 || g.dim(1) != out_ ||
-      g.dim(0) != cached_input_.dim(0))
+Tensor Dense::backward_input(const Tensor& grad_output) {
+  const std::size_t batch = cached_input_.dim(0);
+  const bool shape_ok =
+      grad_output.rank() == 1
+          ? grad_output.size() == out_ && batch == 1
+          : grad_output.rank() == 2 && grad_output.dim(1) == out_ &&
+                grad_output.dim(0) == batch;
+  if (!shape_ok)
     throw std::logic_error("Dense::backward: gradient shape mismatch " +
                            grad_output.shape_string());
-  const std::size_t batch = g.dim(0);
-  Tensor grad_input({batch, in_});
+  Tensor grad_input =
+      input_was_rank1_ ? Tensor({in_}) : Tensor({batch, in_});
   // dx = g W
   kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch, in_, out_,
-                 g.raw(), out_, weight_.raw(), in_, grad_input.raw(), in_,
-                 /*accumulate=*/false);
+                 grad_output.raw(), out_, weight_.raw(), in_,
+                 grad_input.raw(), in_, /*accumulate=*/false);
+  return grad_input;
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+  Tensor grad_input = backward_input(grad_output);
+  const std::size_t batch = cached_input_.dim(0);
   // dW += g^T x
   kernels::sgemm(kernels::Trans::kYes, kernels::Trans::kNo, out_, in_, batch,
-                 g.raw(), out_, cached_input_.raw(), in_, grad_weight_.raw(),
-                 in_, /*accumulate=*/true);
+                 grad_output.raw(), out_, cached_input_.raw(), in_,
+                 grad_weight_.raw(), in_, /*accumulate=*/true);
   // db += column sums of g
-  kernels::col_sums_accumulate(batch, out_, g.raw(), out_, grad_bias_.raw());
-  if (input_was_rank1_) return grad_input.reshaped({in_});
+  kernels::col_sums_accumulate(batch, out_, grad_output.raw(), out_,
+                               grad_bias_.raw());
   return grad_input;
 }
 

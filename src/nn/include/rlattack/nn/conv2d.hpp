@@ -2,8 +2,9 @@
 // im2col + GEMM formulation: each batch item's receptive fields are lowered
 // into a [C*k*k, OH*OW] column matrix (scratch cached across calls) and the
 // convolution becomes one kernels::sgemm per item, batch-parallel on the
-// shared thread pool. Backward runs the transposed GEMMs plus col2im, with
-// weight/bias gradients reduced in deterministic chunk order.
+// shared thread pool. backward_input runs the transposed GEMM plus col2im
+// per item; backward adds, in the same per-item pass, the weight/bias
+// gradients, reduced in deterministic chunk order.
 #pragma once
 
 #include "rlattack/nn/layer.hpp"
@@ -18,6 +19,7 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor backward_input(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   std::string name() const override { return "Conv2D"; }
 
@@ -26,6 +28,10 @@ class Conv2D final : public Layer {
   std::size_t out_extent(std::size_t in_extent) const;
 
  private:
+  /// Shared body of backward/backward_input: per item, the input gradient
+  /// and, when `param_grads`, the weight/bias gradients.
+  Tensor backward_pass(const Tensor& grad_output, bool param_grads);
+
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   Tensor weight_;       // [out_c, in_c, k, k] — rows are GEMM-ready [out_c, C*k*k]
   Tensor bias_;         // [out_c]

@@ -12,6 +12,7 @@ namespace rlattack::nn {
 /// Weight stored as [out_features, in_features]; forward/backward are three
 /// kernels::sgemm calls (y = x W^T + b, dx = g W, dW += g^T x), so all the
 /// arithmetic runs on the shared cache-blocked, pool-parallel GEMM path.
+/// backward_input runs the dx GEMM alone.
 class Dense final : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, util::Rng& rng,
@@ -19,6 +20,7 @@ class Dense final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor backward_input(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   std::string name() const override { return "Dense"; }
 

@@ -1,7 +1,9 @@
 // Layer abstraction: forward caches whatever the matching backward needs;
 // backward accumulates parameter gradients and returns the gradient with
-// respect to the layer input (essential for FGSM/PGD, which differentiate
-// the whole network with respect to the *input observation*).
+// respect to the layer input, and backward_input returns that same input
+// gradient without touching any parameter gradient (what FGSM/PGD need:
+// they differentiate a frozen network with respect to the *input
+// observation* only).
 #pragma once
 
 #include <memory>
@@ -23,10 +25,19 @@ struct Param {
 
 /// Base class for all differentiable layers.
 ///
-/// Contract: `backward` must be called at most once per `forward`, with a
-/// gradient tensor whose shape equals the corresponding forward output.
-/// Parameter gradients are *accumulated* (+=) so minibatch loops can sum;
-/// callers reset them via `zero_grad()` (usually through the optimizer).
+/// Two backward entry points, each called at most once per `forward` with a
+/// gradient tensor whose shape equals that forward's output, both returning
+/// d loss / d input:
+///  - `backward` (training) also *accumulates* (+=) parameter gradients so
+///    minibatch loops can sum; callers reset them via `zero_grad()`
+///    (usually through the optimizer).
+///  - `backward_input` (attack crafting) returns exactly the tensor
+///    `backward` would and never reads or writes a parameter gradient.
+///    A layer with parameters overrides it with its input-gradient half and
+///    implements `backward` as that half plus the parameter half, so the
+///    input-gradient arithmetic exists once. Parameter-free layers inherit
+///    the default, which forwards to `backward`; checked builds assert that
+///    the layer has no parameters before taking it.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -41,6 +52,10 @@ class Layer {
   /// Propagates `grad_output` (d loss / d output) to the input, accumulating
   /// parameter gradients along the way. Returns d loss / d input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// Propagates `grad_output` to the input only: returns what `backward`
+  /// returns, leaving every parameter gradient untouched.
+  virtual Tensor backward_input(const Tensor& grad_output);
 
   /// Views of every learnable parameter (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }

@@ -18,7 +18,10 @@ class Lstm final : public Layer {
        util::Rng& rng);
 
   Tensor forward(const Tensor& input) override;
+  /// backward_input runs the recurrent sweep and the input-gradient GEMM;
+  /// backward adds the dU/dW GEMMs and the bias sums over its result.
   Tensor backward(const Tensor& grad_output) override;
+  Tensor backward_input(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   std::string name() const override { return "Lstm"; }
 
@@ -46,7 +49,8 @@ class Lstm final : public Layer {
   std::vector<Tensor> hiddens_;    // each [B, H], h_t
   // GEMM scratch reused across calls (reallocated only on shape change).
   Tensor xw_buf_;    // [B*T, 4H]  x W^T for every timestep
-  Tensor dpre_buf_;  // [B*T, 4H]  pre-activation grads for every timestep
+  Tensor dpre_buf_;  // [B*T, 4H]  pre-activation grads for every timestep,
+                     //            filled by backward_input, read by backward
 };
 
 }  // namespace rlattack::nn

@@ -11,8 +11,9 @@ class SpanStat;
 
 namespace rlattack::nn {
 
-/// Ordered chain of layers. forward runs layers first-to-last; backward runs
-/// last-to-first and returns the gradient with respect to the chain input.
+/// Ordered chain of layers. forward runs layers first-to-last; backward and
+/// backward_input run last-to-first, calling the same entry point on every
+/// layer, and return the gradient with respect to the chain input.
 class Sequential final : public Layer {
  public:
   Sequential() = default;
@@ -28,6 +29,7 @@ class Sequential final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor backward_input(const Tensor& grad_output) override;
   /// Qualified parameter views ("layer<i>.<name>"). Built once per topology
   /// (add() invalidates) — the per-call name concatenation used to run on
   /// every zero_grad. Layers must not be mutated behind the container's
@@ -41,6 +43,12 @@ class Sequential final : public Layer {
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
  private:
+  /// Shared body of backward/backward_input: runs `step` on every layer,
+  /// last to first, under the per-layer backward spans and checked-build
+  /// shape/finite checks.
+  Tensor backward_chain(const Tensor& grad_output,
+                        Tensor (Layer::*step)(const Tensor&));
+
   std::vector<LayerPtr> layers_;
   // Lazily built qualified parameter views (see params()); cleared by add().
   std::vector<Param> params_cache_;
@@ -73,12 +81,18 @@ class TimeDistributed final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  Tensor backward_input(const Tensor& grad_output) override;
   std::vector<Param> params() override { return inner_->params(); }
   std::string name() const override { return "TimeDistributed"; }
   void set_training(bool training) override { inner_->set_training(training); }
   void resample_noise(util::Rng& rng) override { inner_->resample_noise(rng); }
 
  private:
+  /// Shared body of backward/backward_input: folds time into the batch,
+  /// runs `step` on the inner layer and restores the input shape.
+  Tensor backward_folded(const Tensor& grad_output,
+                         Tensor (Layer::*step)(const Tensor&));
+
   LayerPtr inner_;
   std::vector<std::size_t> inner_shape_;
   std::vector<std::size_t> cached_input_shape_;

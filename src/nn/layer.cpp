@@ -2,7 +2,18 @@
 
 #include <stdexcept>
 
+#include "rlattack/util/check.hpp"
+
 namespace rlattack::nn {
+
+Tensor Layer::backward_input(const Tensor& grad_output) {
+  if constexpr (util::kCheckedBuild) {
+    RLATTACK_CHECK(params().empty(),
+                   name() + "::backward_input: a layer with parameters must "
+                            "override the default, which runs backward");
+  }
+  return backward(grad_output);
+}
 
 void copy_parameters(Layer& dst, Layer& src) {
   auto d = dst.params();

@@ -109,7 +109,7 @@ Tensor Lstm::forward(const Tensor& input) {
   return hiddens_.back();
 }
 
-Tensor Lstm::backward(const Tensor& grad_output) {
+Tensor Lstm::backward_input(const Tensor& grad_output) {
   const std::size_t batch = cached_input_.dim(0),
                     steps = cached_input_.dim(1);
   const std::size_t h4 = 4 * hidden_;
@@ -130,8 +130,8 @@ Tensor Lstm::backward(const Tensor& grad_output) {
   }
 
   // Pre-activation gradients for all steps, stored in the same [B*T, 4H]
-  // row order as the input so grad_input and dW become two big GEMMs after
-  // the recurrent sweep.
+  // row order as the input so grad_input (and, in backward, dW) becomes one
+  // big GEMM after the recurrent sweep.
   if (dpre_buf_.rank() != 2 || dpre_buf_.dim(0) != batch * steps ||
       dpre_buf_.dim(1) != h4)
     dpre_buf_ = Tensor({batch * steps, h4});
@@ -173,18 +173,29 @@ Tensor Lstm::backward(const Tensor& grad_output) {
     kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch, hidden_,
                    h4, dpre_t, row_stride, u_.raw(), hidden_, dh_next.raw(),
                    hidden_, /*accumulate=*/false);
-    // dU += dpre_t^T h_{t-1}.
-    if (t > 0)
-      kernels::sgemm(kernels::Trans::kYes, kernels::Trans::kNo, h4, hidden_,
-                     batch, dpre_t, row_stride, hiddens_[t - 1].raw(),
-                     hidden_, gu_.raw(), hidden_, /*accumulate=*/true);
   }
 
-  // grad_input = dpre W and dW += dpre^T x, fused over all timesteps.
+  // grad_input = dpre W, fused over all timesteps.
   Tensor grad_input({batch, steps, input_});
   kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch * steps,
                  input_, h4, dpre_buf_.raw(), h4, w_.raw(), input_,
                  grad_input.raw(), input_, /*accumulate=*/false);
+  return grad_input;
+}
+
+Tensor Lstm::backward(const Tensor& grad_output) {
+  Tensor grad_input = backward_input(grad_output);  // fills dpre_buf_
+  const std::size_t batch = cached_input_.dim(0),
+                    steps = cached_input_.dim(1);
+  const std::size_t h4 = 4 * hidden_;
+  const std::size_t row_stride = steps * h4;
+  // dU += dpre_t^T h_{t-1}, in the sweep's (descending t) order.
+  for (std::size_t t = steps; t-- > 1;)
+    kernels::sgemm(kernels::Trans::kYes, kernels::Trans::kNo, h4, hidden_,
+                   batch, dpre_buf_.raw() + t * h4, row_stride,
+                   hiddens_[t - 1].raw(), hidden_, gu_.raw(), hidden_,
+                   /*accumulate=*/true);
+  // dW += dpre^T x and db += column sums of dpre, over all timesteps.
   kernels::sgemm(kernels::Trans::kYes, kernels::Trans::kNo, h4, input_,
                  batch * steps, dpre_buf_.raw(), h4, cached_input_.raw(),
                  input_, gw_.raw(), input_, /*accumulate=*/true);

@@ -50,6 +50,15 @@ Tensor Sequential::forward(const Tensor& input) {
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
+  return backward_chain(grad_output, &Layer::backward);
+}
+
+Tensor Sequential::backward_input(const Tensor& grad_output) {
+  return backward_chain(grad_output, &Layer::backward_input);
+}
+
+Tensor Sequential::backward_chain(const Tensor& grad_output,
+                                  Tensor (Layer::*step)(const Tensor&)) {
   if constexpr (util::kCheckedBuild) {
     RLATTACK_CHECK(checked_input_shapes_.size() == layers_.size(),
                    "Sequential::backward: called without a matching forward");
@@ -67,7 +76,7 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   for (std::size_t i = layers_.size(); i-- > 0;) {
     {
       obs::Span span(*backward_spans_[i]);
-      g = layers_[i]->backward(g);
+      g = (layers_[i].get()->*step)(g);
     }
     if constexpr (util::kCheckedBuild) {
       RLATTACK_CHECK(g.shape() == checked_input_shapes_[i],
@@ -136,13 +145,23 @@ Tensor TimeDistributed::forward(const Tensor& input) {
 }
 
 Tensor TimeDistributed::backward(const Tensor& grad_output) {
+  return backward_folded(grad_output, &Layer::backward);
+}
+
+Tensor TimeDistributed::backward_input(const Tensor& grad_output) {
+  return backward_folded(grad_output, &Layer::backward_input);
+}
+
+Tensor TimeDistributed::backward_folded(const Tensor& grad_output,
+                                        Tensor (Layer::*step)(const Tensor&)) {
   if (grad_output.rank() < 3 || grad_output.dim(0) != cached_batch_ ||
       grad_output.dim(1) != cached_steps_)
     throw std::logic_error("TimeDistributed::backward: shape mismatch");
   std::vector<std::size_t> folded{cached_batch_ * cached_steps_};
   for (std::size_t d = 2; d < grad_output.rank(); ++d)
     folded.push_back(grad_output.dim(d));
-  Tensor g = inner_->backward(grad_output.reshaped(std::move(folded)));
+  Tensor g =
+      (inner_.get()->*step)(grad_output.reshaped(std::move(folded)));
   // Return the gradient in the caller's original input shape (it may have
   // fed flattened frames, e.g. [B, T, H*W] into a conv inner layer).
   return g.reshaped(cached_input_shape_);

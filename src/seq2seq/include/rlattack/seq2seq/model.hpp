@@ -132,8 +132,10 @@ class Seq2SeqModel {
 
   /// Truncated backward for the cached path: propagates d loss / d logits
   /// to the current observation only, stopping at the cache boundary — the
-  /// history heads see no backward work and accumulate no gradient. Call at
-  /// most once per forward_cached. Returns [B, F], bit-identical to
+  /// history heads see no backward work. The tail runs each layer's
+  /// backward_input, so no parameter gradient is read or written (the
+  /// attacker differentiates a frozen approximator). Call at most once per
+  /// forward_cached. Returns [B, F], bit-identical to
   /// backward(grad_logits).current_obs.
   nn::Tensor backward_to_current(const nn::Tensor& grad_logits);
 
@@ -168,8 +170,9 @@ class Seq2SeqModel {
   /// Truncated backward for the batched tail: [N, m, A] loss gradients in,
   /// [N, F] current-observation gradients out. Row r is bit-identical to a
   /// single-row backward_to_current of row r's gradient (zero gradient rows
-  /// yield zero output rows without disturbing their neighbours). Call at
-  /// most once per forward_cached_batch.
+  /// yield zero output rows without disturbing their neighbours). Like
+  /// backward_to_current it leaves every parameter gradient untouched. Call
+  /// at most once per forward_cached_batch.
   nn::Tensor backward_to_current_batch(const nn::Tensor& grad_logits);
 
   /// All learnable parameters across heads and decoder. Built lazily on
@@ -266,8 +269,10 @@ class Seq2SeqModel {
   nn::Tensor cached_alpha_;     // [B, m, n]
   // Reusable scratch for the attention inner loops (scores / dalpha are
   // per-(b, t) temporaries; keeping them as members avoids a heap
-  // allocation per output position). Model instances are never shared
-  // across threads (episode workers clone), so plain members are safe.
+  // allocation per output position). Plain members are safe because only
+  // one thread is ever inside a model at a time: a model shared by
+  // concurrent episodes through the BatchedCraftPlanner rendezvous is only
+  // entered by the flushing thread under the planner lock.
   std::vector<float> attn_scores_scratch_;
   std::vector<float> attn_dalpha_scratch_;
 };

@@ -653,16 +653,19 @@ nn::Tensor Seq2SeqModel::backward_to_current(const nn::Tensor& grad_logits) {
   active_cache_ = nullptr;  // one backward per forward_cached
   nn::Tensor grad_current;
   if (!config_.use_attention) {
-    nn::Tensor grad_repeated = decoder_.backward(grad_logits);  // [B, m, E]
-    grad_current = current_head_.backward(sum_over_steps(grad_repeated));
+    nn::Tensor grad_repeated =
+        decoder_.backward_input(grad_logits);  // [B, m, E]
+    grad_current =
+        current_head_.backward_input(sum_over_steps(grad_repeated));
   } else {
-    nn::Tensor grad_concat = output_dense_.backward(grad_logits);
+    nn::Tensor grad_concat = output_dense_.backward_input(grad_logits);
     // Truncate at the cache boundary: no encoder, key or attention-weight
     // gradients — the histories are fixed for the whole craft.
     nn::Tensor grad_decoder = attention_mix_backward(
         grad_concat, cache.encoder, cache.keys, nullptr, nullptr);
-    nn::Tensor grad_repeated = decoder_lstm_.backward(grad_decoder);
-    grad_current = current_head_.backward(sum_over_steps(grad_repeated));
+    nn::Tensor grad_repeated = decoder_lstm_.backward_input(grad_decoder);
+    grad_current =
+        current_head_.backward_input(sum_over_steps(grad_repeated));
   }
   if constexpr (util::kCheckedBuild) {
     RLATTACK_CHECK(util::all_finite(grad_current.data()),
@@ -807,14 +810,17 @@ nn::Tensor Seq2SeqModel::backward_to_current_batch(
   active_batch_ = 0;  // one backward per forward_cached_batch
   nn::Tensor grad_current;
   if (!config_.use_attention) {
-    nn::Tensor grad_repeated = decoder_.backward(grad_logits);  // [N, m, E]
-    grad_current = current_head_.backward(sum_over_steps(grad_repeated));
+    nn::Tensor grad_repeated =
+        decoder_.backward_input(grad_logits);  // [N, m, E]
+    grad_current =
+        current_head_.backward_input(sum_over_steps(grad_repeated));
   } else {
-    nn::Tensor grad_concat = output_dense_.backward(grad_logits);
+    nn::Tensor grad_concat = output_dense_.backward_input(grad_logits);
     nn::Tensor grad_decoder = attention_mix_backward(
         grad_concat, batch_encoder_, batch_keys_, nullptr, nullptr);
-    nn::Tensor grad_repeated = decoder_lstm_.backward(grad_decoder);
-    grad_current = current_head_.backward(sum_over_steps(grad_repeated));
+    nn::Tensor grad_repeated = decoder_lstm_.backward_input(grad_decoder);
+    grad_current =
+        current_head_.backward_input(sum_over_steps(grad_repeated));
   }
   if constexpr (util::kCheckedBuild) {
     RLATTACK_CHECK(util::all_finite(grad_current.data()),
@@ -845,8 +851,8 @@ void Seq2SeqModel::reset_from(const Seq2SeqModel& src) {
 const std::vector<nn::Param>& Seq2SeqModel::params() {
   if (!params_cache_.empty()) return params_cache_;
   // Built once: the layer topology is fixed after construction, and the
-  // per-call string concatenation below used to dominate zero_grad() on the
-  // crafting hot path.
+  // per-call string concatenation below would otherwise run on every
+  // zero_grad().
   std::vector<nn::Param>& out = params_cache_;
   auto take = [&out](nn::Sequential& part, const std::string& prefix) {
     for (nn::Param p : part.params()) {

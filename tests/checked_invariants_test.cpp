@@ -53,6 +53,25 @@ class BrokenLayer final : public nn::Layer {
   Mode mode_;
 };
 
+/// Layer with one parameter that keeps the default backward_input, which
+/// is only valid for parameter-free layers.
+class ParamLayerWithoutBackwardInput final : public nn::Layer {
+ public:
+  nn::Tensor forward(const nn::Tensor& input) override { return input; }
+  nn::Tensor backward(const nn::Tensor& grad_output) override {
+    grad_scale_[0] += 1.0f;
+    return grad_output;
+  }
+  std::vector<nn::Param> params() override {
+    return {{&scale_, &grad_scale_, "scale"}};
+  }
+  std::string name() const override { return "ParamLayerWithoutBackwardInput"; }
+
+ private:
+  nn::Tensor scale_{1};
+  nn::Tensor grad_scale_{1};
+};
+
 seq2seq::Seq2SeqModel make_model() {
   return seq2seq::Seq2SeqModel(seq2seq::make_cartpole_seq2seq_config(4, 2),
                                /*seed=*/7);
@@ -90,6 +109,28 @@ TEST(CheckedInvariantsTest, SequentialCatchesLayerEmittingWrongGradShape) {
   net.emplace<BrokenLayer>(BrokenLayer::Mode::kWrongGradShape);
   net.forward(nn::Tensor({1, 4}));
   EXPECT_THROW(net.backward(nn::Tensor({1, 4})), util::CheckFailure);
+}
+
+TEST(CheckedInvariantsTest, SequentialBackwardInputCatchesWrongGradShape) {
+  util::Rng rng(1);
+  nn::Sequential net;
+  net.emplace<nn::Dense>(4, 4, rng);
+  net.emplace<BrokenLayer>(BrokenLayer::Mode::kWrongGradShape);
+  net.forward(nn::Tensor({1, 4}));
+  EXPECT_THROW(net.backward_input(nn::Tensor({1, 4})), util::CheckFailure);
+}
+
+TEST(CheckedInvariantsTest, DefaultBackwardInputRejectsLayerWithParameters) {
+  // The default forwards to backward, which would write the parameter
+  // gradient backward_input promises to leave alone.
+  ParamLayerWithoutBackwardInput layer;
+  layer.forward(nn::Tensor({1, 4}));
+  EXPECT_THROW(layer.backward_input(nn::Tensor({1, 4})), util::CheckFailure);
+  EXPECT_EQ(layer.params()[0].grad->data()[0], 0.0f);
+  // Parameter-free layers take the default.
+  BrokenLayer passthrough(BrokenLayer::Mode::kNanForward);
+  passthrough.forward(nn::Tensor({1, 4}));
+  EXPECT_NO_THROW(passthrough.backward_input(nn::Tensor({1, 4})));
 }
 
 TEST(CheckedInvariantsTest, SequentialBackwardRejectsCallWithoutForward) {

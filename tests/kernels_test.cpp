@@ -5,16 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <vector>
 
 #include "gradcheck.hpp"
+#include "rlattack/nn/activations.hpp"
 #include "rlattack/nn/conv2d.hpp"
 #include "rlattack/nn/dense.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/nn/lstm.hpp"
 #include "rlattack/nn/reference.hpp"
+#include "rlattack/nn/sequential.hpp"
 #include "rlattack/util/thread_pool.hpp"
 
 namespace rlattack::nn {
@@ -384,7 +388,37 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer parity against the retained naive reference implementations.
+// Layer parity against the retained naive reference implementations, and
+// of backward_input against backward: the same input-gradient bits, with
+// every parameter gradient left holding a sentinel.
+
+constexpr float kGradSentinel = 1234.5f;
+
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const char* what) {
+  ASSERT_TRUE(got.same_shape(want)) << what << ": shape "
+                                    << got.shape_string() << " vs "
+                                    << want.shape_string();
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " differs at " << i;
+}
+
+/// Runs backward_input(g) after the forward that `backward_gx` =
+/// backward(g) followed, with every parameter gradient preset to a
+/// sentinel: the input gradient must match backward's bit for bit and the
+/// sentinels must survive.
+void expect_backward_input_parity(Layer& layer, const Tensor& g,
+                                  const Tensor& backward_gx) {
+  for (Param& p : layer.params()) p.grad->fill(kGradSentinel);
+  expect_same_bits(layer.backward_input(g), backward_gx, "backward_input");
+  for (const Param& p : layer.params())
+    for (std::size_t i = 0; i < p.grad->size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>((*p.grad)[i]),
+                std::bit_cast<std::uint32_t>(kGradSentinel))
+          << p.name << "[" << i << "] written by backward_input";
+}
 
 TEST(DenseParity, ForwardBackwardMatchReference) {
   util::Rng rng(11);
@@ -403,6 +437,7 @@ TEST(DenseParity, ForwardBackwardMatchReference) {
   expect_close(gx, gx_ref, kParityTol, "dense dx");
   expect_close(*params[0].grad, gw, kParityTol, "dense dW");
   expect_close(*params[1].grad, gb, kParityTol, "dense db");
+  expect_backward_input_parity(d, g, gx);
 }
 
 struct ConvParityCase {
@@ -432,6 +467,7 @@ TEST_P(Conv2DParity, ForwardBackwardMatchReference) {
   expect_close(gx, gx_ref, kParityTol, "conv dx");
   expect_close(*params[0].grad, gw, kParityTol, "conv dW");
   expect_close(*params[1].grad, gb, kParityTol, "conv db");
+  expect_backward_input_parity(conv, g, gx);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -468,9 +504,45 @@ TEST_P(LstmParity, ForwardBackwardMatchReference) {
   expect_close(*params[0].grad, gw, kParityTol, "lstm dW");
   expect_close(*params[1].grad, gu, kParityTol, "lstm dU");
   expect_close(*params[2].grad, gb, kParityTol, "lstm db");
+  expect_backward_input_parity(lstm, g, gx);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, LstmParity, ::testing::Bool());
+
+/// Restores the env-resolved global pool on scope exit.
+struct PoolSizeGuard {
+  explicit PoolSizeGuard(std::size_t threads) {
+    util::ThreadPool::reset_global(threads);
+  }
+  ~PoolSizeGuard() { util::ThreadPool::reset_global(0); }
+  PoolSizeGuard(const PoolSizeGuard&) = delete;
+  PoolSizeGuard& operator=(const PoolSizeGuard&) = delete;
+};
+
+class TimeDistributedParity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TimeDistributedParity, ConvStackBackwardInputMatchesBackward) {
+  // The seq2seq image heads' shape: flattened frames [B, T, H*W] folded
+  // into a conv stack, ten folded items spanning three reduction chunks.
+  PoolSizeGuard pool(GetParam());
+  util::Rng rng(61);
+  auto frame_net = std::make_unique<Sequential>();
+  frame_net->emplace<Conv2D>(1, 3, 3, 2, 1, rng);
+  frame_net->emplace<ReLU>();
+  frame_net->emplace<Flatten>();
+  frame_net->emplace<Dense>(3 * 3 * 3, 5, rng);
+  TimeDistributed td(std::move(frame_net), {1, 6, 6});
+  Tensor x = random_tensor({2, 5, 36}, rng);
+  Tensor y = td.forward(x);
+  Tensor g = random_tensor(y.shape(), rng);
+  td.zero_grad();
+  Tensor gx = td.backward(g);
+  ASSERT_TRUE(gx.same_shape(x));
+  expect_backward_input_parity(td, g, gx);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, TimeDistributedParity,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 // ---------------------------------------------------------------------------
 // Finite-difference gradient checks on the GEMM paths (run at both

@@ -3,9 +3,17 @@
 // Algorithm-1 trainer on a scripted expert.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <tuple>
 
 #include "gradcheck.hpp"
+#include "rlattack/attack/attack.hpp"
+#include "rlattack/attack/batch_planner.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/nn/loss.hpp"
 #include "rlattack/seq2seq/dataset.hpp"
@@ -301,28 +309,103 @@ TEST(Seq2SeqCraftCache, AttentionImageBitIdentical) {
   expect_cached_path_bit_identical(cfg, 14);
 }
 
-TEST(Seq2SeqCraftCache, TruncatedBackwardAccumulatesNoHistoryGradients) {
-  // The whole point of the truncation: the history heads must see zero
-  // parameter-gradient traffic from the cached path.
-  Seq2SeqConfig cfg = tiny_config(3, 2);
+/// Crafting differentiates a frozen approximator: the truncated backward,
+/// single-row and batched, and the crafts built on it — a PGD craft through
+/// a serial CraftContext and one two-participant BatchedCraftPlanner round
+/// — must neither read nor write any parameter gradient. Every gradient
+/// holds a sentinel before and must hold it bit for bit after each step.
+class Seq2SeqCraftCacheParamGrads
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+constexpr float kGradSentinel = 1234.5f;
+
+void expect_grads_hold_sentinel(Seq2SeqModel& model, const char* step) {
+  const auto want = std::bit_cast<std::uint32_t>(kGradSentinel);
+  for (const nn::Param& p : model.params())
+    for (std::size_t i = 0; i < p.grad->size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>((*p.grad)[i]), want)
+          << p.name << "[" << i << "] written by " << step;
+}
+
+TEST_P(Seq2SeqCraftCacheParamGrads, CraftingLeavesEveryParameterGradient) {
+  const auto [attention, image] = GetParam();
+  Seq2SeqConfig cfg =
+      image ? make_atari_seq2seq_config({1, 8, 8}, 3, /*n=*/2, /*m=*/2)
+            : tiny_config(3, 2);
+  cfg.embed = 8;
+  cfg.lstm_hidden = 6;
+  cfg.use_attention = attention;
   Seq2SeqModel model(cfg, 15);
   util::Rng rng(16);
-  nn::Tensor actions = random_tensor({1, 3, 2}, rng);
-  nn::Tensor obs = random_tensor({1, 3, 4}, rng);
-  nn::Tensor current = random_tensor({1, 4}, rng);
-  HistoryEncoding cache = model.encode_history(actions, obs);
-  model.zero_grad();
-  model.forward_cached(cache, current);
-  model.backward_to_current(random_tensor({1, 2, 2}, rng));
-  for (const auto& p : model.params()) {
-    const bool history_head = p.name.rfind("action_head", 0) == 0 ||
-                              p.name.rfind("obs_head", 0) == 0;
-    if (!history_head) continue;
-    for (std::size_t i = 0; i < p.grad->size(); ++i)
-      ASSERT_EQ((*p.grad)[i], 0.0f)
-          << p.name << " accumulated gradient through the cache boundary";
+  const std::size_t n = cfg.input_steps, m = cfg.output_steps,
+                    a = cfg.actions, f = cfg.frame_size();
+  auto make_inputs = [&] {
+    attack::CraftInputs in;
+    in.action_history = random_tensor({1, n, a}, rng);
+    in.obs_history = random_tensor({1, n, f}, rng);
+    in.current_obs = random_tensor({1, f}, rng);
+    return in;
+  };
+  const attack::CraftInputs first = make_inputs();
+  const attack::CraftInputs second = make_inputs();
+  for (const nn::Param& p : model.params()) p.grad->fill(kGradSentinel);
+
+  HistoryEncoding enc_first =
+      model.encode_history(first.action_history, first.obs_history);
+  model.forward_cached(enc_first, first.current_obs);
+  model.backward_to_current(random_tensor({1, m, a}, rng));
+  expect_grads_hold_sentinel(model, "backward_to_current");
+
+  HistoryEncoding enc_second =
+      model.encode_history(second.action_history, second.obs_history);
+  nn::Tensor rows({2, f});
+  std::copy_n(first.current_obs.raw(), f, rows.raw());
+  std::copy_n(second.current_obs.raw(), f, rows.raw() + f);
+  model.forward_cached_batch({&enc_first, &enc_second}, rows);
+  model.backward_to_current_batch(random_tensor({2, m, a}, rng));
+  expect_grads_hold_sentinel(model, "backward_to_current_batch");
+
+  const bool saved_cache = attack::craft_cache_enabled();
+  attack::set_craft_cache_enabled(true);  // the serial cached craft path
+  {
+    attack::CraftContext ctx(model, first);
+    attack::Goal goal;
+    goal.position = m - 1;
+    util::Rng craft_rng(17);
+    attack::PgdAttack().perturb(ctx, goal, attack::Budget{},
+                                {-5.0f, 5.0f}, craft_rng);
   }
+  attack::set_craft_cache_enabled(saved_cache);
+  expect_grads_hold_sentinel(model, "a serial PGD craft");
+
+  // Both participants enroll before either probes, so the two gradient
+  // probes flush together as one two-row round.
+  attack::BatchedCraftPlanner planner(model);
+  attack::BatchedCraftPlanner::Participant p_first(planner);
+  attack::BatchedCraftPlanner::Participant p_second(planner);
+  auto probe = [&planner](const attack::CraftInputs& in,
+                          attack::BatchedCraftPlanner::Participant& me) {
+    attack::CraftContext ctx(planner, in);
+    (void)ctx.current_obs_gradient(0, 0, in.current_obs);
+    me.retire();
+  };
+  std::thread other(probe, std::cref(second), std::ref(p_second));
+  probe(first, p_first);
+  other.join();
+  expect_grads_hold_sentinel(model, "a planner round");
 }
+
+std::string variant_name(
+    const ::testing::TestParamInfo<std::tuple<bool, bool>>& param_info) {
+  const auto [attention, image] = param_info.param;
+  return std::string(attention ? "Attention" : "Pooling") +
+         (image ? "Image" : "Vector");
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, Seq2SeqCraftCacheParamGrads,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()),
+                         variant_name);
 
 TEST(Seq2SeqModel, ParamsCoverAllHeads) {
   Seq2SeqModel model(tiny_config(), 1);
