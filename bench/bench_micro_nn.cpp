@@ -151,12 +151,16 @@ void BM_FgsmCraftPongScale(benchmark::State& state) {
 }
 BENCHMARK(BM_FgsmCraftPongScale);
 
-/// One row of the direct dispatch sweep: median per-call latency of C = A B
-/// at threads=1 under each micro-kernel. Squares cover the classic shapes;
-/// the rectangular rows mirror the seq2seq hot paths (flattened key
-/// projection [B·n,H]·[H,E]ᵀ scale and the LSTM gate block [B,4H]).
+/// One row of the direct dispatch sweep: median per-call latency of
+/// C = A op(B) at threads=1 under each micro-kernel. Squares cover the
+/// classic shapes; the rectangular rows mirror the seq2seq hot paths
+/// (flattened key projection [B·n,H]·[H,E]ᵀ scale and the LSTM gate block
+/// [B,4H]); the skinny rows are the per-frame products of the live attack
+/// (batch-1 LSTM gates and Dense forward/backward, one conv image and its
+/// input gradient, a 10-row history batch).
 struct GemmPoint {
   std::size_t m = 0, n = 0, k = 0;
+  nn::kernels::Trans tb = nn::kernels::Trans::kNo;
   double scalar_us = 0.0;
   double avx2_us = 0.0;
   double gflops(double us) const {
@@ -167,12 +171,15 @@ struct GemmPoint {
   }
 };
 
-double gemm_latency_us(nn::kernels::SimdKernel kernel, std::size_t m,
-                       std::size_t n, std::size_t k) {
+double gemm_latency_us(nn::kernels::SimdKernel kernel, const GemmPoint& p) {
   nn::kernels::set_simd_kernel(kernel);
+  const std::size_t m = p.m, n = p.n, k = p.k;
+  const bool tb = p.tb == nn::kernels::Trans::kYes;
   util::Rng rng(11);
   nn::Tensor a = random_tensor({m, k}, rng);
-  nn::Tensor b = random_tensor({k, n}, rng);
+  nn::Tensor b = random_tensor(tb ? std::vector<std::size_t>{n, k}
+                                  : std::vector<std::size_t>{k, n},
+                               rng);
   nn::Tensor c({m, n});
   // Size the inner repeat count so every sample is a few ms even at the
   // smallest shapes; median of kSamples absorbs scheduler noise.
@@ -186,8 +193,8 @@ double gemm_latency_us(nn::kernels::SimdKernel kernel, std::size_t m,
   for (int s = 0; s < kWarmup + kSamples; ++s) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      nn::kernels::sgemm(nn::kernels::Trans::kNo, nn::kernels::Trans::kNo, m,
-                         n, k, a.raw(), k, b.raw(), n, c.raw(), n, false);
+      nn::kernels::sgemm(nn::kernels::Trans::kNo, p.tb, m, n, k, a.raw(), k,
+                         b.raw(), tb ? k : n, c.raw(), n, false);
       benchmark::DoNotOptimize(c.raw());
     }
     const auto end = std::chrono::steady_clock::now();
@@ -202,6 +209,11 @@ double gemm_latency_us(nn::kernels::SimdKernel kernel, std::size_t m,
   return samples[samples.size() / 2];
 }
 
+/// "N" for op(B) = B, "T" for op(B) = Bᵀ (the Dense/Lstm forward layout).
+const char* trans_name(nn::kernels::Trans t) {
+  return t == nn::kernels::Trans::kYes ? "T" : "N";
+}
+
 void write_gemm_json(const std::vector<GemmPoint>& points) {
   std::FILE* out = std::fopen("BENCH_gemm.json", "w");
   if (out == nullptr) {
@@ -213,11 +225,12 @@ void write_gemm_json(const std::vector<GemmPoint>& points) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const GemmPoint& p = points[i];
     std::fprintf(out,
-                 "    {\"m\": %zu, \"n\": %zu, \"k\": %zu, "
+                 "    {\"m\": %zu, \"n\": %zu, \"k\": %zu, \"tb\": \"%s\", "
                  "\"scalar_us\": %.2f, \"scalar_gflops\": %.1f, "
                  "\"avx2_us\": %.2f, \"avx2_gflops\": %.1f, "
                  "\"speedup\": %.2f}%s\n",
-                 p.m, p.n, p.k, p.scalar_us, p.gflops(p.scalar_us), p.avx2_us,
+                 p.m, p.n, p.k, trans_name(p.tb), p.scalar_us,
+                 p.gflops(p.scalar_us), p.avx2_us,
                  p.gflops(p.avx2_us), p.speedup(),
                  i + 1 < points.size() ? "," : "");
   }
@@ -234,29 +247,29 @@ void run_gemm_sweep() {
   }
   const nn::kernels::SimdKernel saved = nn::kernels::active_simd_kernel();
   util::ThreadPool::reset_global(1);
-  const std::size_t shapes[][3] = {
-      {64, 64, 64},   {128, 128, 128}, {256, 256, 256},
-      {512, 512, 512}, {1024, 1024, 1024},
-      {320, 48, 48},  // flattened key projection, B=32 n=10 H=E=48 scale
-      {32, 192, 48},  // LSTM gate block, B=32 4H=192
+  constexpr auto kN = nn::kernels::Trans::kNo;
+  constexpr auto kT = nn::kernels::Trans::kYes;
+  std::vector<GemmPoint> points = {
+      {64, 64, 64, kN},   {128, 128, 128, kN},   {256, 256, 256, kN},
+      {512, 512, 512, kN}, {1024, 1024, 1024, kN},
+      {320, 48, 48, kN},  // flattened key projection, B=32 n=10 H=E=48 scale
+      {32, 192, 48, kN},  // LSTM gate block, B=32 4H=192
+      {1, 192, 48, kT},   // batch-1 LSTM input gates, x W^T
+      {1, 64, 256, kT},   // batch-1 Dense forward, x W^T
+      {1, 64, 256, kN},   // batch-1 Dense input gradient, g W
+      {16, 16, 72, kN},   // one conv image, W x im2col
+      {72, 16, 16, kN},   // its input gradient's shape, W^T g: 2 row blocks
+      {10, 64, 256, kT},  // 10-row history batch through a Dense
   };
-  std::vector<GemmPoint> points;
-  for (const auto& s : shapes) {
-    GemmPoint p;
-    p.m = s[0];
-    p.n = s[1];
-    p.k = s[2];
-    p.scalar_us = gemm_latency_us(nn::kernels::SimdKernel::kScalar, p.m, p.n,
-                                  p.k);
-    p.avx2_us = gemm_latency_us(nn::kernels::SimdKernel::kAvx2, p.m, p.n,
-                                p.k);
+  for (GemmPoint& p : points) {
+    p.scalar_us = gemm_latency_us(nn::kernels::SimdKernel::kScalar, p);
+    p.avx2_us = gemm_latency_us(nn::kernels::SimdKernel::kAvx2, p);
     std::printf(
-        "sgemm %4zux%-4zux%-4zu scalar=%8.2fus (%5.1f GF/s) "
+        "sgemm %4zux%-4zux%-4zu %s scalar=%8.2fus (%5.1f GF/s) "
         "avx2=%8.2fus (%5.1f GF/s)  %5.2fx\n",
-        p.m, p.n, p.k, p.scalar_us, p.gflops(p.scalar_us), p.avx2_us,
-        p.gflops(p.avx2_us), p.speedup());
+        p.m, p.n, p.k, trans_name(p.tb), p.scalar_us, p.gflops(p.scalar_us),
+        p.avx2_us, p.gflops(p.avx2_us), p.speedup());
     std::fflush(stdout);
-    points.push_back(p);
   }
   util::ThreadPool::reset_global(0);
   nn::kernels::set_simd_kernel(saved);

@@ -35,8 +35,9 @@
 #            traced instrumented experiment with RLATTACK_TRACE=1 /
 #            RLATTACK_TRACE_OUT; validates the Chrome trace-event JSON
 #            parses and carries pool/episode/phase timeline events
-#   simd     default build + the kernel, layer (backward vs backward_input),
-#            attention and craft-cache parity suites run twice, once under
+#   simd     default build + the kernel, GEMM operand-path, layer
+#            (backward vs backward_input), attention and craft-cache
+#            parity suites run twice, once under
 #            RLATTACK_SIMD=avx2 and once under RLATTACK_SIMD=scalar;
 #            SKIPPED (not failed) when the host CPU lacks AVX2/FMA
 #   batch    batched-craft-substrate parity suites (seq2seq_batch_test plus
@@ -452,13 +453,13 @@ run_config() {
           echo "--- RLATTACK_SIMD=${mode} ---" >>"${log}"
           RLATTACK_SIMD="${mode}" run_logged "${log}" \
             build/tests/kernels_test \
-            --gtest_filter='*SimdDispatch*:*SgemmParity*:*KernelHelpers*:*DenseParity*:*Conv2DParity*:*LstmParity*:*TimeDistributedParity*' || rc=1
+            --gtest_filter='*SimdDispatch*:*SgemmParity*:*SgemmOperandPaths*:*KernelHelpers*:*DenseParity*:*Conv2DParity*:*LstmParity*:*TimeDistributedParity*' || rc=1
           RLATTACK_SIMD="${mode}" run_logged "${log}" \
             build/tests/seq2seq_test \
             --gtest_filter='Seq2SeqAttentionGemm*:*Seq2SeqCraftCache*' || rc=1
         done
       fi
-      DETAIL[${name}]="kernel/layer/attention/craft-cache parity suites under RLATTACK_SIMD=avx2 and =scalar"
+      DETAIL[${name}]="kernel/operand-path/layer/attention/craft-cache parity suites under RLATTACK_SIMD=avx2 and =scalar"
       ;;
     *)
       echo "run_checks.sh: unknown config '${name}'" >&2

@@ -18,8 +18,9 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor grad = grad_output;
   auto gd = grad.data();
   auto xd = cached_input_.data();
+  // Select form (not a conditional store) so the loop vectorises.
   for (std::size_t i = 0; i < gd.size(); ++i)
-    if (xd[i] <= 0.0f) gd[i] = 0.0f;
+    gd[i] = xd[i] <= 0.0f ? 0.0f : gd[i];
   return grad;
 }
 

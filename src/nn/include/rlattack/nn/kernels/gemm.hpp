@@ -20,8 +20,8 @@ namespace rlattack::nn::kernels {
 enum class Trans : bool { kNo = false, kYes = true };
 
 /// Which micro-kernel `sgemm` runs. kScalar is the portable cache-blocked
-/// kernel (compiler-autovectorised, no FMA); kAvx2 is the hand-packed
-/// 6x16 register-tiled AVX2/FMA kernel, available only when both the build
+/// kernel (compiler-autovectorised, no FMA); kAvx2 is the hand-tiled
+/// 6x16 AVX2/FMA kernel, available only when both the build
 /// and the host CPU support AVX2+FMA.
 enum class SimdKernel : int { kScalar = 0, kAvx2 = 1 };
 
@@ -52,9 +52,20 @@ const char* simd_kernel_name(SimdKernel kernel) noexcept;
 /// leading dimensions of the *physical* row-major arrays: A is m x k when
 /// `ta == Trans::kNo` and k x m when `ta == Trans::kYes` (same for B). All
 /// four transpose combinations are supported.
+///
+/// C must overlap neither A nor B: a row-major operand may be read in place
+/// while C is being written. Checked builds assert it.
 void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
            const float* a, std::size_t lda, const float* b, std::size_t ldb,
            float* c, std::size_t ldc, bool accumulate);
+
+/// dst[j * ldd + i] = src[i * lds + j] for i < rows, j < cols: writes the
+/// cols x rows transpose of a rows x cols row-major source. Runs the active
+/// SIMD kernel's transpose (both copy values exactly). `sgemm` packs every
+/// transposed operand through it; a caller that multiplies by the same
+/// transposed matrix many times can lay it out once and pass Trans::kNo.
+void transpose(std::size_t rows, std::size_t cols, const float* src,
+               std::size_t lds, float* dst, std::size_t ldd) noexcept;
 
 /// y[i] += alpha * x[i] for i in [0, n).
 void axpy(std::size_t n, float alpha, const float* x, float* y) noexcept;

@@ -49,6 +49,7 @@ class Lstm final : public Layer {
   std::vector<Tensor> hiddens_;    // each [B, H], h_t
   // GEMM scratch reused across calls (reallocated only on shape change).
   Tensor xw_buf_;    // [B*T, 4H]  x W^T for every timestep
+  Tensor ut_buf_;    // [H, 4H]    U^T, rewritten by every forward with T > 1
   Tensor dpre_buf_;  // [B*T, 4H]  pre-activation grads for every timestep,
                      //            filled by backward_input, read by backward
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "gemm_internal.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/obs/trace.hpp"
+#include "rlattack/util/check.hpp"
 #include "rlattack/util/env.hpp"
 #include "rlattack/util/log.hpp"
 #include "rlattack/util/thread_pool.hpp"
@@ -24,11 +26,13 @@ using internal::kNC;
 
 namespace internal {
 
-// mb x nb += (or =) packed mb x kb panel times packed kb x nb panel.
-// `store` overwrites C (first K block without accumulate); otherwise adds.
+// mb x nb += (or =) mb x kb A panel times kb x nb B panel, both row-major
+// with the given row strides. `store` overwrites C (first K block without
+// accumulate); otherwise adds.
 void micro_kernel_scalar(std::size_t mb, std::size_t nb, std::size_t kb,
-                         const float* ap, const float* bp, float* c,
-                         std::size_t ldc, bool store) {
+                         const float* a, std::size_t lda, const float* b,
+                         std::size_t ldb, float* c, std::size_t ldc,
+                         bool store) {
   float acc0[kNC], acc1[kNC], acc2[kNC], acc3[kNC];
   std::size_t i = 0;
   for (; i + kMR <= mb; i += kMR) {
@@ -36,12 +40,12 @@ void micro_kernel_scalar(std::size_t mb, std::size_t nb, std::size_t kb,
     for (std::size_t j = 0; j < nb; ++j) acc1[j] = 0.0f;
     for (std::size_t j = 0; j < nb; ++j) acc2[j] = 0.0f;
     for (std::size_t j = 0; j < nb; ++j) acc3[j] = 0.0f;
-    const float* a0 = ap + (i + 0) * kb;
-    const float* a1 = ap + (i + 1) * kb;
-    const float* a2 = ap + (i + 2) * kb;
-    const float* a3 = ap + (i + 3) * kb;
+    const float* a0 = a + (i + 0) * lda;
+    const float* a1 = a + (i + 1) * lda;
+    const float* a2 = a + (i + 2) * lda;
+    const float* a3 = a + (i + 3) * lda;
     for (std::size_t p = 0; p < kb; ++p) {
-      const float* bpr = bp + p * nb;
+      const float* bpr = b + p * ldb;
       const float s0 = a0[p], s1 = a1[p], s2 = a2[p], s3 = a3[p];
       for (std::size_t j = 0; j < nb; ++j) {
         const float bv = bpr[j];
@@ -70,9 +74,9 @@ void micro_kernel_scalar(std::size_t mb, std::size_t nb, std::size_t kb,
   for (; i < mb; ++i) {  // remainder rows, one at a time
     float acc[kNC];
     for (std::size_t j = 0; j < nb; ++j) acc[j] = 0.0f;
-    const float* a0 = ap + i * kb;
+    const float* a0 = a + i * lda;
     for (std::size_t p = 0; p < kb; ++p) {
-      const float* bpr = bp + p * nb;
+      const float* bpr = b + p * ldb;
       const float s0 = a0[p];
       for (std::size_t j = 0; j < nb; ++j) acc[j] += s0 * bpr[j];
     }
@@ -83,6 +87,12 @@ void micro_kernel_scalar(std::size_t mb, std::size_t nb, std::size_t kb,
       for (std::size_t j = 0; j < nb; ++j) c0[j] += acc[j];
     }
   }
+}
+
+void transpose_scalar(std::size_t rows, std::size_t cols, const float* src,
+                      std::size_t lds, float* dst, std::size_t ldd) {
+  for (std::size_t j = 0; j < cols; ++j)
+    for (std::size_t i = 0; i < rows; ++i) dst[j * ldd + i] = src[i * lds + j];
 }
 
 }  // namespace internal
@@ -133,22 +143,32 @@ SimdKernel resolve_simd_kernel() {
   return best;
 }
 
-internal::MicroKernelFn micro_kernel_for(SimdKernel kernel) noexcept {
+struct KernelSet {
+  internal::MicroKernelFn micro;
+  internal::TransposeFn transpose;
+};
+
+KernelSet kernels_for(SimdKernel kernel) noexcept {
 #if defined(RLATTACK_HAVE_AVX2_KERNEL)
-  if (kernel == SimdKernel::kAvx2) return internal::micro_kernel_avx2;
+  if (kernel == SimdKernel::kAvx2)
+    return {internal::micro_kernel_avx2, internal::transpose_avx2};
 #else
   (void)kernel;
 #endif
-  return internal::micro_kernel_scalar;
+  return {internal::micro_kernel_scalar, internal::transpose_scalar};
 }
 
 // Full blocked GEMM restricted to output rows [m0, m1). Each pool chunk gets
 // a disjoint row range, so results are independent of the chunking (every
 // row's K-accumulation order is fixed by the kKC blocking alone).
+//
+// Operand panels: a row-major operand is read in place, a transposed one is
+// packed through the transpose kernel. The micro-kernel sees the same values
+// either way, so neither choice changes a bit of C.
 void sgemm_rows(Trans ta, Trans tb, std::size_t m0, std::size_t m1,
                 std::size_t n, std::size_t k, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float* c, std::size_t ldc,
-                bool accumulate, internal::MicroKernelFn kernel) {
+                bool accumulate, const KernelSet& kernels) {
   // Per-thread packing scratch, reused across calls (no per-call allocation
   // once warmed up).
   thread_local std::vector<float> ap(kMC * kKC);
@@ -158,12 +178,28 @@ void sgemm_rows(Trans ta, Trans tb, std::size_t m0, std::size_t m1,
     for (std::size_t pc = 0; pc < k; pc += kKC) {
       const std::size_t kb = std::min(kKC, k - pc);
       const bool store = pc == 0 && !accumulate;
-      internal::pack_b(tb, b, ldb, pc, jc, kb, nb, bp.data());
+      const float* b_panel = bp.data();
+      std::size_t ldb_panel = nb;
+      if (tb == Trans::kNo) {
+        b_panel = b + pc * ldb + jc;
+        ldb_panel = ldb;
+      } else {
+        // op(B) = B^T: the nb x kb block of B becomes the kb x nb panel.
+        kernels.transpose(nb, kb, b + jc * ldb + pc, ldb, bp.data(), nb);
+      }
       for (std::size_t ic = m0; ic < m1; ic += kMC) {
         const std::size_t mb = std::min(kMC, m1 - ic);
-        internal::pack_a(ta, a, lda, ic, pc, mb, kb, ap.data());
-        kernel(mb, nb, kb, ap.data(), bp.data(), c + ic * ldc + jc, ldc,
-               store);
+        const float* a_panel = ap.data();
+        std::size_t lda_panel = kb;
+        if (ta == Trans::kNo) {
+          a_panel = a + ic * lda + pc;
+          lda_panel = lda;
+        } else {
+          // op(A) = A^T: the kb x mb block of A becomes the mb x kb panel.
+          kernels.transpose(kb, mb, a + pc * lda + ic, lda, ap.data(), kb);
+        }
+        kernels.micro(mb, nb, kb, a_panel, lda_panel, b_panel, ldb_panel,
+                      c + ic * ldc + jc, ldc, store);
       }
     }
   }
@@ -220,14 +256,30 @@ namespace {
         std::memset(c + i * ldc, 0, n * sizeof(float));
     return;
   }
-  const internal::MicroKernelFn kernel = micro_kernel_for(active_simd_kernel());
+  const KernelSet kernels = kernels_for(active_simd_kernel());
   // Parallelise over output rows; below ~8 row-blocks' worth of work the
   // dispatch overhead outweighs the win and the loop runs inline anyway.
   util::ThreadPool::global().parallel_for(
       m, /*grain=*/kMR * 2, [&](std::size_t r0, std::size_t r1) {
         sgemm_rows(ta, tb, r0, r1, n, k, a, lda, b, ldb, c, ldc, accumulate,
-                   kernel);
+                   kernels);
       });
+}
+
+// Byte range [first, last) spanned by a rows x cols row-major view.
+struct Extent {
+  std::uintptr_t first, last;
+};
+
+Extent extent(const float* p, std::size_t rows, std::size_t cols,
+              std::size_t ld) noexcept {
+  const auto first = reinterpret_cast<std::uintptr_t>(p);
+  if (rows == 0 || cols == 0) return {first, first};
+  return {first, first + ((rows - 1) * ld + cols) * sizeof(float)};
+}
+
+bool overlaps(Extent x, Extent y) noexcept {
+  return x.first < y.last && y.first < x.last;
 }
 
 }  // namespace
@@ -236,6 +288,17 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
            const float* a, std::size_t lda, const float* b, std::size_t ldb,
            float* c, std::size_t ldc, bool accumulate) {
   if (m == 0 || n == 0) return;
+  if constexpr (util::kCheckedBuild) {
+    const Extent c_range = extent(c, m, n, ldc);
+    RLATTACK_CHECK(!overlaps(c_range, ta == Trans::kNo
+                                          ? extent(a, m, k, lda)
+                                          : extent(a, k, m, lda)),
+                   "sgemm: C overlaps A");
+    RLATTACK_CHECK(!overlaps(c_range, tb == Trans::kNo
+                                          ? extent(b, k, n, ldb)
+                                          : extent(b, n, k, ldb)),
+                   "sgemm: C overlaps B");
+  }
   const std::uint64_t flops = 2 * static_cast<std::uint64_t>(m) *
                               static_cast<std::uint64_t>(n) *
                               static_cast<std::uint64_t>(k);
@@ -250,6 +313,11 @@ void sgemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
                         "mflops", static_cast<double>(flops) * 1e-6, "m",
                         static_cast<double>(m));
   sgemm_body(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+}
+
+void transpose(std::size_t rows, std::size_t cols, const float* src,
+               std::size_t lds, float* dst, std::size_t ldd) noexcept {
+  kernels_for(active_simd_kernel()).transpose(rows, cols, src, lds, dst, ldd);
 }
 
 void axpy(std::size_t n, float alpha, const float* x, float* y) noexcept {

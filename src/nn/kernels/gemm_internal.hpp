@@ -1,22 +1,20 @@
 // Internals shared between the portable scalar GEMM TU (gemm.cpp) and the
 // AVX2/FMA TU (gemm_avx2.cpp, compiled with -mavx2 -mfma and therefore kept
-// out of every other translation unit). Both micro-kernels consume the same
-// packed panels and the same kKC-blocked loop nest, so the determinism
+// out of every other translation unit). Both micro-kernels read the same
+// panels through the same kKC-blocked loop nest, so the determinism
 // contract — per-element K-accumulation order fixed by the blocking, not the
-// thread partition — holds for either choice.
+// thread partition or where a panel lives — holds for either choice.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstring>
-
-#include "rlattack/nn/kernels/gemm.hpp"
 
 namespace rlattack::nn::kernels::internal {
 
 // Cache blocking: the packed B panel (kKC x kNC = 128 KiB) and A panel
 // (kMC x kKC = 64 KiB) both sit in L2; the micro-kernel accumulators stay in
-// L1/registers. Packing makes the inner loop a unit-stride multiply-add over
+// L1/registers. Panels are row-major with a row stride: a row-major operand
+// is read where it lies and a transposed one is packed through the transpose
+// kernel. Either way the inner loop is a unit-stride multiply-add over
 // independent output columns — the scalar kernel vectorises without FP
 // reassociation (-ffast-math) and the AVX2 kernel loads B rows directly.
 constexpr std::size_t kMC = 64;
@@ -24,50 +22,36 @@ constexpr std::size_t kKC = 256;
 constexpr std::size_t kNC = 128;
 constexpr std::size_t kMR = 4;  // scalar kernel's row-register tile
 
-// mb x nb C tile (+)= packed mb x kb A panel times packed kb x nb B panel.
-// `store` overwrites C (first K block without accumulate); otherwise adds.
-// Implementations must accumulate each output element over p = 0..kb-1 in
-// ascending order into fresh accumulators — that is what makes the result
-// independent of the row partition handed out by the thread pool.
+// mb x nb C tile (+)= mb x kb A panel (row stride lda) times kb x nb B panel
+// (row stride ldb). `store` overwrites C (first K block without accumulate);
+// otherwise adds. Implementations must accumulate each output element over
+// p = 0..kb-1 in ascending order into fresh accumulators — that is what
+// makes the result independent of the row partition handed out by the
+// thread pool and of the panel strides.
 using MicroKernelFn = void (*)(std::size_t mb, std::size_t nb, std::size_t kb,
-                               const float* ap, const float* bp, float* c,
+                               const float* a, std::size_t lda,
+                               const float* b, std::size_t ldb, float* c,
                                std::size_t ldc, bool store);
 
+// dst[j * ldd + i] = src[i * lds + j] for i < rows, j < cols: the
+// rows x cols source becomes a cols x rows destination.
+using TransposeFn = void (*)(std::size_t rows, std::size_t cols,
+                             const float* src, std::size_t lds, float* dst,
+                             std::size_t ldd);
+
 void micro_kernel_scalar(std::size_t mb, std::size_t nb, std::size_t kb,
-                         const float* ap, const float* bp, float* c,
-                         std::size_t ldc, bool store);
+                         const float* a, std::size_t lda, const float* b,
+                         std::size_t ldb, float* c, std::size_t ldc,
+                         bool store);
+void transpose_scalar(std::size_t rows, std::size_t cols, const float* src,
+                      std::size_t lds, float* dst, std::size_t ldd);
 #if defined(RLATTACK_HAVE_AVX2_KERNEL)
 void micro_kernel_avx2(std::size_t mb, std::size_t nb, std::size_t kb,
-                       const float* ap, const float* bp, float* c,
-                       std::size_t ldc, bool store);
+                       const float* a, std::size_t lda, const float* b,
+                       std::size_t ldb, float* c, std::size_t ldc,
+                       bool store);
+void transpose_avx2(std::size_t rows, std::size_t cols, const float* src,
+                    std::size_t lds, float* dst, std::size_t ldd);
 #endif
-
-// Packs the op(A) sub-block rows [i0, i0+mb) x cols [p0, p0+kb) into a dense
-// row-major mb x kb panel.
-inline void pack_a(Trans ta, const float* a, std::size_t lda, std::size_t i0,
-                   std::size_t p0, std::size_t mb, std::size_t kb, float* ap) {
-  if (ta == Trans::kNo) {
-    for (std::size_t i = 0; i < mb; ++i)
-      std::memcpy(ap + i * kb, a + (i0 + i) * lda + p0, kb * sizeof(float));
-  } else {
-    for (std::size_t i = 0; i < mb; ++i)
-      for (std::size_t p = 0; p < kb; ++p)
-        ap[i * kb + p] = a[(p0 + p) * lda + (i0 + i)];
-  }
-}
-
-// Packs the op(B) sub-block rows [p0, p0+kb) x cols [j0, j0+nb) into a dense
-// row-major kb x nb panel.
-inline void pack_b(Trans tb, const float* b, std::size_t ldb, std::size_t p0,
-                   std::size_t j0, std::size_t kb, std::size_t nb, float* bp) {
-  if (tb == Trans::kNo) {
-    for (std::size_t p = 0; p < kb; ++p)
-      std::memcpy(bp + p * nb, b + (p0 + p) * ldb + j0, nb * sizeof(float));
-  } else {
-    for (std::size_t p = 0; p < kb; ++p)
-      for (std::size_t j = 0; j < nb; ++j)
-        bp[p * nb + j] = b[(j0 + j) * ldb + (p0 + p)];
-  }
-}
 
 }  // namespace rlattack::nn::kernels::internal

@@ -56,6 +56,13 @@ Tensor Lstm::forward(const Tensor& input) {
                  input_, input.raw(), input_, w_.raw(), input_, xw_buf_.raw(),
                  h4, /*accumulate=*/false);
 
+  // U^T laid out once per call: every step's recurrent GEMM then reads the
+  // row-major [H, 4H] scratch in place instead of re-transposing U.
+  if (steps > 1) {
+    if (ut_buf_.rank() != 2) ut_buf_ = Tensor({hidden_, h4});
+    kernels::transpose(h4, hidden_, u_.raw(), hidden_, ut_buf_.raw(), h4);
+  }
+
   auto& pool = util::ThreadPool::global();
   for (std::size_t t = 0; t < steps; ++t) {
     Tensor& gates = gates_[t];
@@ -66,9 +73,9 @@ Tensor Lstm::forward(const Tensor& input) {
       for (std::size_t j = 0; j < h4; ++j) gr[j] = xw[j] + b_[j];
     }
     if (t > 0)
-      kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kYes, batch, h4,
-                     hidden_, hiddens_[t - 1].raw(), hidden_, u_.raw(),
-                     hidden_, gates.raw(), h4, /*accumulate=*/true);
+      kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch, h4,
+                     hidden_, hiddens_[t - 1].raw(), hidden_, ut_buf_.raw(),
+                     h4, gates.raw(), h4, /*accumulate=*/true);
     // Activations and state update, batch rows in parallel.
     Tensor& c = cells_[t];
     Tensor& tc = tanh_cells_[t];
@@ -169,10 +176,12 @@ Tensor Lstm::backward_input(const Tensor& grad_output) {
       }
     });
 
-    // dh_{t-1} = dpre_t U  (overwrites dh_next for the next iteration).
-    kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch, hidden_,
-                   h4, dpre_t, row_stride, u_.raw(), hidden_, dh_next.raw(),
-                   hidden_, /*accumulate=*/false);
+    // dh_{t-1} = dpre_t U  (overwrites dh_next for the next iteration;
+    // nothing reads dh_{-1}).
+    if (t > 0)
+      kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch, hidden_,
+                     h4, dpre_t, row_stride, u_.raw(), hidden_, dh_next.raw(),
+                     hidden_, /*accumulate=*/false);
   }
 
   // grad_input = dpre W, fused over all timesteps.

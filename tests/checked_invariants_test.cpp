@@ -10,10 +10,12 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <vector>
 
 #include "rlattack/attack/attack.hpp"
 #include "rlattack/attack/batch_planner.hpp"
 #include "rlattack/nn/dense.hpp"
+#include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/nn/sequential.hpp"
 #include "rlattack/seq2seq/model.hpp"
@@ -131,6 +133,24 @@ TEST(CheckedInvariantsTest, DefaultBackwardInputRejectsLayerWithParameters) {
   BrokenLayer passthrough(BrokenLayer::Mode::kNanForward);
   passthrough.forward(nn::Tensor({1, 4}));
   EXPECT_NO_THROW(passthrough.backward_input(nn::Tensor({1, 4})));
+}
+
+TEST(CheckedInvariantsTest, SgemmRejectsOutputOverlappingAnOperand) {
+  // sgemm may read a row-major operand in place while it writes C.
+  using nn::kernels::Trans;
+  std::vector<float> buf(64, 1.0f);
+  float* a = buf.data();
+  float* b = buf.data() + 16;
+  float* c = buf.data() + 32;
+  EXPECT_THROW(nn::kernels::sgemm(Trans::kNo, Trans::kNo, 4, 4, 4, a, 4, b, 4,
+                                  a + 12, 4, false),
+               util::CheckFailure);
+  EXPECT_THROW(nn::kernels::sgemm(Trans::kNo, Trans::kYes, 4, 4, 4, a, 4, b, 4,
+                                  b + 3, 4, true),
+               util::CheckFailure);
+  // Adjacent but disjoint ranges are fine.
+  EXPECT_NO_THROW(nn::kernels::sgemm(Trans::kYes, Trans::kNo, 4, 4, 4, a, 4,
+                                     b, 4, c, 4, false));
 }
 
 TEST(CheckedInvariantsTest, SequentialBackwardRejectsCallWithoutForward) {

@@ -4,11 +4,13 @@
 // exercised under the tier-1 test command.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "gradcheck.hpp"
@@ -216,6 +218,117 @@ TEST(SimdDispatch, NonTightLeadingDimensionsEveryKernel) {
     // The ldc slack columns must be untouched — the masked tail stores may
     // not write past column n.
     expect_close(c, c_ref, kParityTol, kernels::simd_kernel_name(choice));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Operand paths. sgemm reads row-major operands in place and packs
+// transposed ones through the transpose kernel; a product taller than
+// kMC = 64 rows splits into row blocks, and the AVX2 kernel runs 1- and
+// 2-row tiles over wider column chunks than its 6-row tile. Every path must
+// give every other path's bits, under both kernels and at any thread count.
+
+class SgemmOperandPaths
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+/// The cols x rows transpose of the rows x cols matrix at x (leading
+/// dimension ld), with `pad` slack columns.
+Tensor transposed(const float* x, std::size_t rows, std::size_t cols,
+                  std::size_t ld, std::size_t pad) {
+  Tensor t({cols, rows + pad});
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j)
+      t[j * (rows + pad) + i] = x[i * ld + j];
+  return t;
+}
+
+TEST_P(SgemmOperandPaths, SmallRowsMatchTallProductAndTransposedOperands) {
+  const auto [m, n] = GetParam();
+  // The large product spans two row blocks of 6-row tiles; the small
+  // product's rows sit across the row-block boundary.
+  constexpr std::size_t kBigRows = 71, kRow0 = 62;
+  DispatchGuard guard;
+  std::vector<kernels::SimdKernel> choices{kernels::SimdKernel::kScalar};
+  if (kernels::avx2_available())
+    choices.push_back(kernels::SimdKernel::kAvx2);
+  util::Rng rng(1000 * m + n);
+  // K on both sides of kKC = 256.
+  for (const std::size_t k : {std::size_t{37}, std::size_t{300}}) {
+    const std::size_t lda = k + 3, ldb = n + 5, ldc = n + 2;
+    const Tensor a = random_tensor({kBigRows, lda}, rng);
+    const Tensor b = random_tensor({k, ldb}, rng);
+    const Tensor c0 = random_tensor({kBigRows, ldc}, rng);
+    const float* a_rows = a.raw() + kRow0 * lda;
+    const Tensor at = transposed(a_rows, m, k, lda, 4);
+    const Tensor bt = transposed(b.raw(), k, n, ldb, 6);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      util::ThreadPool::reset_global(threads);
+      for (const kernels::SimdKernel choice : choices) {
+        kernels::set_simd_kernel(choice);
+        for (const bool accumulate : {false, true}) {
+          Tensor big = c0;
+          kernels::sgemm(Trans::kNo, Trans::kNo, kBigRows, n, k, a.raw(), lda,
+                         b.raw(), ldb, big.raw(), ldc, accumulate);
+          for (const Trans ta : {Trans::kNo, Trans::kYes}) {
+            for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+              Tensor small({m, ldc});
+              std::copy_n(c0.raw() + kRow0 * ldc, m * ldc, small.raw());
+              kernels::sgemm(ta, tb, m, n, k,
+                             ta == Trans::kNo ? a_rows : at.raw(),
+                             ta == Trans::kNo ? lda : m + 4,
+                             tb == Trans::kNo ? b.raw() : bt.raw(),
+                             tb == Trans::kNo ? ldb : k + 6, small.raw(), ldc,
+                             accumulate);
+              // Every column, slack included: the slack must stay c0's.
+              for (std::size_t i = 0; i < m * ldc; ++i)
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(small[i]),
+                          std::bit_cast<std::uint32_t>(big[kRow0 * ldc + i]))
+                    << kernels::simd_kernel_name(choice) << " threads "
+                    << threads << " k " << k << " accumulate " << accumulate
+                    << " ta " << (ta == Trans::kYes) << " tb "
+                    << (tb == Trans::kYes) << " at row " << i / ldc
+                    << " col " << i % ldc;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SgemmOperandPaths,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 6, 7),
+                       ::testing::Values<std::size_t>(1, 7, 8, 15, 16, 33, 64,
+                                                      65, 129)));
+
+TEST(SgemmOperandPaths, TransposeMatchesIndexedCopyEveryKernel) {
+  DispatchGuard guard;
+  std::vector<kernels::SimdKernel> choices{kernels::SimdKernel::kScalar};
+  if (kernels::avx2_available())
+    choices.push_back(kernels::SimdKernel::kAvx2);
+  util::Rng rng(5);
+  for (const std::size_t rows : {1, 7, 8, 17, 64}) {
+    for (const std::size_t cols : {1, 8, 13, 48}) {
+      const std::size_t lds = cols + 3, ldd = rows + 2;
+      const Tensor src = random_tensor({rows, lds}, rng);
+      const Tensor want = transposed(src.raw(), rows, cols, lds, 2);
+      for (const kernels::SimdKernel choice : choices) {
+        kernels::set_simd_kernel(choice);
+        Tensor got({cols, ldd});
+        for (std::size_t i = 0; i < got.size(); ++i) got[i] = -7.0f;
+        kernels::transpose(rows, cols, src.raw(), lds, got.raw(), ldd);
+        for (std::size_t j = 0; j < cols; ++j) {
+          for (std::size_t i = 0; i < ldd; ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j * ldd + i]),
+                      std::bit_cast<std::uint32_t>(
+                          i < rows ? want[j * ldd + i] : -7.0f))
+                << kernels::simd_kernel_name(choice) << " " << rows << "x"
+                << cols << " at " << j << "," << i;
+        }
+      }
+    }
   }
 }
 

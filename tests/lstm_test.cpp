@@ -4,6 +4,7 @@
 #include "gradcheck.hpp"
 #include "rlattack/nn/lstm.hpp"
 #include "rlattack/nn/sequential.hpp"
+#include "rlattack/obs/metrics.hpp"
 
 namespace rlattack::nn {
 namespace {
@@ -54,6 +55,23 @@ TEST(Lstm, ForgetBiasInitialisedToOne) {
   const Tensor& b = *params[2].value;
   EXPECT_FLOAT_EQ(b[3], 1.0f);  // first forget-gate bias
   EXPECT_FLOAT_EQ(b[0], 0.0f);  // input gate untouched
+}
+
+TEST(Lstm, BackwardInputRunsOneGemmPerStep) {
+  // T - 1 recurrent dh GEMMs (dh_{-1} feeds nothing) plus one fused dX GEMM.
+  const bool saved = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  util::Rng rng(3);
+  constexpr std::size_t kSteps = 5;
+  Lstm lstm(3, 4, /*return_sequences=*/false, rng);
+  lstm.forward(random_tensor({2, kSteps, 3}, rng));
+  const Tensor grad = random_tensor({2, 4}, rng);
+  obs::Counter& calls =
+      obs::MetricsRegistry::global().counter("nn.gemm.calls");
+  const std::uint64_t before = calls.value();
+  lstm.backward_input(grad);
+  EXPECT_EQ(calls.value() - before, kSteps);
+  obs::set_metrics_enabled(saved);
 }
 
 TEST(Lstm, StatelessAcrossCalls) {

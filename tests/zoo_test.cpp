@@ -13,7 +13,11 @@ namespace {
 class ZooTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    cache_ = ::testing::TempDir() + "rlattack_zoo_cache";
+    // One directory per case: ctest -j runs the cases as parallel
+    // processes, and a shared directory let one case delete another's
+    // checkpoints mid-test.
+    cache_ = ::testing::TempDir() + "rlattack_zoo_cache_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(cache_);
   }
   void TearDown() override { std::filesystem::remove_all(cache_); }
