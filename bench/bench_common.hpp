@@ -70,11 +70,8 @@ inline std::size_t scaled_runs(std::size_t paper_runs = 20) {
 /// collects these into bench_times.csv / BENCH_experiments.json.
 inline void emit_timing(const std::string& experiment,
                         const core::ExperimentTiming& t) {
-  std::printf(
-      "[timing] experiment=%s threads=%zu episodes=%zu craft_batch=%zu "
-      "eval_batch=%zu wall_s=%.3f\n",
-      experiment.c_str(), t.threads, t.episodes, t.craft_batch, t.eval_batch,
-      t.wall_seconds);
+  std::printf("[timing] experiment=%s hosts=%zu episodes=%zu wall_s=%.3f\n",
+              experiment.c_str(), t.hosts, t.episodes, t.wall_seconds);
   // Timing lines must survive a later abort in the same binary (stdout is
   // block-buffered when redirected to run_benches.sh's log).
   std::fflush(stdout);

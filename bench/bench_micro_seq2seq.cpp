@@ -1,14 +1,12 @@
-// Craft-latency microbench for the seq2seq history-encoding cache: times a
-// full adversarial craft (anchor query + k PGD gradient iterations) with
-// the craft-context cache on vs off, sweeping history length n and PGD
-// steps k. The cached path pays the history heads once per craft instead of
-// once per query, so the speedup grows with both axes.
+// Craft-latency microbench: times a full adversarial craft (anchor query +
+// k PGD gradient iterations) through one craft context, which encodes the
+// history once and serves every query from the cached tail, sweeping
+// history length n and PGD steps k.
 //
 // Emits BENCH_craft.json (one object per swept point plus the headline
-// 10-step PGD row at the default CartPole approximator config) so the bench
-// trajectory carries the measured speedup as a regression baseline;
-// run_benches.sh picks this binary up like any other bench and the JSON
-// lands next to bench_times.csv.
+// 10-step PGD row at the default CartPole approximator config) as a
+// regression baseline; run_benches.sh picks this binary up like any other
+// bench and the JSON lands next to bench_times.csv.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -31,11 +29,7 @@ struct Point {
   std::string config;
   std::size_t input_steps = 0;
   std::size_t pgd_steps = 0;
-  double uncached_us = 0.0;
   double cached_us = 0.0;
-  double speedup() const {
-    return cached_us > 0.0 ? uncached_us / cached_us : 0.0;
-  }
 };
 
 CraftInputs make_inputs(const rlattack::seq2seq::Seq2SeqConfig& cfg,
@@ -55,9 +49,7 @@ CraftInputs make_inputs(const rlattack::seq2seq::Seq2SeqConfig& cfg,
 /// Median-of-repeats per-craft latency in microseconds. Each repeat is one
 /// full craft: anchor resolution plus `steps` PGD gradient iterations.
 double craft_latency_us(rlattack::seq2seq::Seq2SeqModel& model,
-                        const CraftInputs& inputs, std::size_t steps,
-                        bool cached) {
-  rlattack::attack::set_craft_cache_enabled(cached);
+                        const CraftInputs& inputs, std::size_t steps) {
   PgdAttack pgd(steps, 0.3f);
   const Budget budget{Budget::Norm::kL2, 0.5f};
   const rlattack::env::ObservationBounds bounds{-10.0f, 10.0f};
@@ -93,12 +85,9 @@ Point run_point(const std::string& name,
   p.config = name;
   p.input_steps = cfg.input_steps;
   p.pgd_steps = pgd_steps;
-  p.uncached_us = craft_latency_us(model, inputs, pgd_steps, false);
-  p.cached_us = craft_latency_us(model, inputs, pgd_steps, true);
-  std::printf(
-      "%-22s n=%-3zu pgd=%-3zu uncached=%9.1fus cached=%9.1fus  %5.2fx\n",
-      name.c_str(), p.input_steps, p.pgd_steps, p.uncached_us, p.cached_us,
-      p.speedup());
+  p.cached_us = craft_latency_us(model, inputs, pgd_steps);
+  std::printf("%-22s n=%-3zu pgd=%-3zu cached=%9.1fus\n", name.c_str(),
+              p.input_steps, p.pgd_steps, p.cached_us);
   std::fflush(stdout);
   return p;
 }
@@ -112,20 +101,17 @@ void write_json(const std::vector<Point>& points, const Point& headline) {
   std::fprintf(out, "{\n  \"bench\": \"bench_micro_seq2seq\",\n");
   std::fprintf(out,
                "  \"headline\": {\"config\": \"%s\", \"input_steps\": %zu, "
-               "\"pgd_steps\": %zu, \"uncached_us\": %.1f, \"cached_us\": "
-               "%.1f, \"speedup\": %.2f},\n",
+               "\"pgd_steps\": %zu, \"cached_us\": %.1f},\n",
                headline.config.c_str(), headline.input_steps,
-               headline.pgd_steps, headline.uncached_us, headline.cached_us,
-               headline.speedup());
+               headline.pgd_steps, headline.cached_us);
   std::fprintf(out, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     std::fprintf(out,
                  "    {\"config\": \"%s\", \"input_steps\": %zu, "
-                 "\"pgd_steps\": %zu, \"uncached_us\": %.1f, \"cached_us\": "
-                 "%.1f, \"speedup\": %.2f}%s\n",
-                 p.config.c_str(), p.input_steps, p.pgd_steps, p.uncached_us,
-                 p.cached_us, p.speedup(), i + 1 < points.size() ? "," : "");
+                 "\"pgd_steps\": %zu, \"cached_us\": %.1f}%s\n",
+                 p.config.c_str(), p.input_steps, p.pgd_steps, p.cached_us,
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
@@ -135,11 +121,10 @@ void write_json(const std::vector<Point>& points, const Point& headline) {
 
 int main(int argc, char** argv) {
   rlattack::bench::init_metrics(argc, argv, "bench_micro_seq2seq");
-  const bool saved = rlattack::attack::craft_cache_enabled();
 
   std::vector<Point> points;
   // CartPole approximator, n sweep x PGD-step sweep. n = 10 / pgd = 10 is
-  // the headline acceptance row (>= 2x required).
+  // the headline row.
   for (std::size_t n : {std::size_t{5}, std::size_t{10}, std::size_t{20}}) {
     for (std::size_t steps : {std::size_t{1}, std::size_t{10}}) {
       points.push_back(
@@ -148,15 +133,15 @@ int main(int argc, char** argv) {
                     steps));
     }
   }
-  // One image-config point: the conv+LSTM history encoder dominates there,
-  // so this is the upper end of what the cache saves.
+  // One image-config point: the conv+LSTM history encoder runs once per
+  // craft there too.
   points.push_back(
       run_point("atari16", rlattack::seq2seq::make_atari_seq2seq_config(
                                {1, 16, 16}, 3, /*input_steps=*/5,
                                /*output_steps=*/1),
                 /*pgd_steps=*/10));
-  // Attention-decoder variant: the cache additionally amortises the key
-  // projection K = E W_a^T.
+  // Attention-decoder variant: the encoding also holds the key projection
+  // K = E W_a^T.
   {
     rlattack::seq2seq::Seq2SeqConfig cfg =
         rlattack::seq2seq::make_cartpole_seq2seq_config(10, 1);
@@ -164,14 +149,12 @@ int main(int argc, char** argv) {
     points.push_back(run_point("cartpole_attention", cfg, 10));
   }
 
-  rlattack::attack::set_craft_cache_enabled(saved);
-
   const Point* headline = nullptr;
   for (const Point& p : points)
     if (p.config == "cartpole" && p.input_steps == 10 && p.pgd_steps == 10)
       headline = &p;
   write_json(points, *headline);
-  std::printf("headline: %.2fx (cartpole n=10, 10-step PGD)\n",
-              headline->speedup());
+  std::printf("headline: %.1fus (cartpole n=10, 10-step PGD)\n",
+              headline->cached_us);
   return 0;
 }

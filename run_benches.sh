@@ -2,22 +2,20 @@
 # Runs every experiment harness sequentially, teeing the combined output.
 #
 # Timing outputs:
-#   bench_times.csv         one row per bench binary: parallel (default
-#                           episode-worker) wall-clock, plus a serial
-#                           (RLATTACK_EXPERIMENT_THREADS=1) column when
-#                           RLATTACK_BENCH_COMPARE=1 re-runs each binary.
+#   bench_times.csv         one row per bench binary: its wall-clock.
 #   BENCH_experiments.json  the per-experiment "[timing]" lines the driver
-#                           binaries emit, as a JSON baseline.
+#                           binaries emit (experiment, episode hosts,
+#                           episodes, wall seconds), as a JSON baseline.
 #   METRICS.json            telemetry export (counters/histograms/spans) of
-#                           every binary's primary run, as a JSON array of
-#                           the per-binary objects from metrics-out/.
+#                           every binary's run, as a JSON array of the
+#                           per-binary objects from metrics-out/.
 #   BENCH_craft.json        craft-latency baseline written by
-#                           bench_micro_seq2seq: cached vs uncached history
-#                           encoding across input_steps / PGD-step sweeps.
-cd /root/repo
+#                           bench_micro_seq2seq across input_steps /
+#                           PGD-step sweeps.
+cd "$(dirname "$0")" || exit 1
 export RLATTACK_BENCH_SCALE=${RLATTACK_BENCH_SCALE:-0.5}
 : > bench_output.txt
-echo "bench,wall_seconds,serial_wall_seconds" > bench_times.csv
+echo "bench,wall_seconds" > bench_times.csv
 rm -rf metrics-out
 mkdir -p metrics-out
 
@@ -37,15 +35,9 @@ run_one() {
 _missing_exports=""
 for b in build/bench/*; do
   { [ -f "$b" ] && [ -x "$b" ]; } || continue
-  # The primary run exports its telemetry at exit; comparison re-runs below
-  # deliberately do not, so each binary contributes exactly one object.
   wall=$(RLATTACK_METRICS_OUT="metrics-out/$(basename "$b").json" \
          run_one "$b")
-  serial=""
-  if [ "${RLATTACK_BENCH_COMPARE:-0}" = "1" ]; then
-    serial=$(RLATTACK_EXPERIMENT_THREADS=1 run_one "$b")
-  fi
-  echo "$(basename "$b"),$wall,$serial" >> bench_times.csv
+  echo "$(basename "$b"),$wall" >> bench_times.csv
   if [ ! -s "metrics-out/$(basename "$b").json" ]; then
     _missing_exports="$_missing_exports $(basename "$b")"
     echo "ERROR: $(basename "$b") produced no metrics export" \
@@ -96,28 +88,23 @@ fi
   BENCH_experiments.baseline.json
 awk 'BEGIN { print "["; first = 1 }
   /^\[timing\]/ {
-    e = t = n = c = v = w = ""
+    e = h = n = w = ""
     for (i = 2; i <= NF; ++i) {
       split($i, kv, "=")
       if (kv[1] == "experiment") e = kv[2]
-      if (kv[1] == "threads") t = kv[2]
+      if (kv[1] == "hosts") h = kv[2]
       if (kv[1] == "episodes") n = kv[2]
-      if (kv[1] == "craft_batch") c = kv[2]
-      if (kv[1] == "eval_batch") v = kv[2]
       if (kv[1] == "wall_s") w = kv[2]
     }
-    if (e == "" || t == "" || n == "" || w == "") next
-    if (c == "") c = 0
-    if (v == "") v = 0
+    if (e == "" || h == "" || n == "" || w == "") next
     if (!first) printf ",\n"
     first = 0
-    printf "  {\"experiment\": \"%s\", \"threads\": %s, \"episodes\": %s, \"craft_batch\": %s, \"eval_batch\": %s, \"wall_seconds\": %s}", e, t, n, c, v, w
+    printf "  {\"experiment\": \"%s\", \"hosts\": %s, \"episodes\": %s, \"wall_seconds\": %s}", e, h, n, w
   }
   END { print "\n]" }' bench_output.txt > BENCH_experiments.json
 
 # Wall-clock regression gate: rows matched against the committed baseline by
-# (experiment, threads, craft_batch, eval_batch); >10% slower flags the row.
-# The verdict
+# (experiment, hosts); >10% slower flags the row. The verdict
 # lands in CHECKS.json under "bench_regressions" so run_checks.sh consumers
 # see perf and correctness in one place (short sub-second rows are skipped —
 # they are scheduler noise at this granularity).
@@ -129,8 +116,7 @@ import json, os
 def rows(path):
     out = {}
     for r in json.load(open(path)):
-        key = (r["experiment"], r.get("threads"), r.get("craft_batch", 0),
-               r.get("eval_batch", 0))
+        key = (r["experiment"], r.get("hosts"))
         out[key] = r["wall_seconds"]
     return out
 
@@ -143,8 +129,7 @@ for key, wall in sorted(new.items()):
         continue
     if wall > ref * 1.10:
         flagged.append({
-            "experiment": key[0], "threads": key[1], "craft_batch": key[2],
-            "eval_batch": key[3],
+            "experiment": key[0], "hosts": key[1],
             "baseline_wall_seconds": ref, "wall_seconds": wall,
             "slowdown": round(wall / ref, 3),
         })
@@ -163,8 +148,7 @@ json.dump(doc, open("CHECKS.json", "w"), indent=2)
 print("bench regression check:", report["status"],
       f"({len(flagged)} flagged of {report['compared_rows']} compared)")
 for f in flagged:
-    print("  REGRESSION", f["experiment"], "threads", f["threads"],
-          "craft_batch", f["craft_batch"], "eval_batch", f["eval_batch"], ":",
+    print("  REGRESSION", f["experiment"], "hosts", f["hosts"], ":",
           f["baseline_wall_seconds"], "->", f["wall_seconds"], "s")
 EOF
 fi

@@ -40,18 +40,14 @@
 #            parity suites run twice, once under
 #            RLATTACK_SIMD=avx2 and once under RLATTACK_SIMD=scalar;
 #            SKIPPED (not failed) when the host CPU lacks AVX2/FMA
-#   batch    batched-craft-substrate parity suites (seq2seq_batch_test plus
-#            the CraftBatch/WorkerPool experiment suites) under BOTH ASan and
-#            TSan — the rendezvous shares one model across host threads and
-#            memcpy-packs rows around the shared GEMMs, so it gets the
-#            memory- and race-checker treatment explicitly
-#   eval-batch
-#            episode-batched evaluation substrate parity suites (the
-#            ActBatch agent suites plus the EvalBatch experiment suites)
-#            under BOTH ASan and TSan, each run once per available GEMM
-#            kernel (RLATTACK_SIMD=avx2/scalar) — host threads share the
-#            ORIGINAL victim and model through one rendezvous, so the
-#            handoff gets the same treatment as the craft substrate
+#   rendezvous
+#            the episode driver's parity suites (Seq2SeqBatchedCraft*,
+#            the *ActBatch* agent suites and the *SerialOracle* driver
+#            suite) under BOTH ASan and TSan, each run once per available
+#            GEMM kernel (RLATTACK_SIMD=avx2/scalar) — host threads share
+#            one victim and one model through the rendezvous, which
+#            memcpy-packs rows around the shared GEMMs, so the handoff gets
+#            the memory- and race-checker treatment explicitly
 #
 # Exit status: non-zero if any selected config fails. A skipped tidy step
 # (missing tool) does not fail the run; CHECKS.json records it as "skipped"
@@ -61,7 +57,7 @@ set -u -o pipefail
 cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
-ALL_CONFIGS=(werror asan ubsan tsan checked tidy tsa tidy-plugin metrics trace simd batch eval-batch)
+ALL_CONFIGS=(werror asan ubsan tsan checked tidy tsa tidy-plugin metrics trace simd rendezvous)
 
 # Directories the static-analysis steps cover (everything with C++ in it).
 TIDY_DIRS=(src tests bench apps examples tools)
@@ -177,6 +173,21 @@ EOF
         echo "trace export missing ${key}"; return 1; }
     done
   fi
+}
+
+run_rendezvous_suites() {
+  # run_rendezvous_suites <builddir> <log>: the batched model calls, the
+  # batched agent policies and the episode driver against its serial
+  # oracle. The caller sets the sanitizer options and RLATTACK_SIMD.
+  local dir="$1" log="$2" rc=0
+  RLATTACK_THREADS=4 run_logged "${log}" "${dir}/tests/seq2seq_batch_test" \
+    --gtest_filter='Seq2SeqBatchedCraft*' || rc=1
+  RLATTACK_THREADS=4 run_logged "${log}" "${dir}/tests/rl_test" \
+    --gtest_filter='*ActBatch*' || rc=1
+  RLATTACK_THREADS=4 run_logged "${log}" \
+    "${dir}/tests/experiments_parallel_test" \
+    --gtest_filter='*SerialOracle*' || rc=1
+  return ${rc}
 }
 
 run_config() {
@@ -348,10 +359,8 @@ run_config() {
       local trace_json="${LOG_DIR}/trace.json"
       if [ ${rc} -eq 0 ]; then
         rm -f "${trace_json}"
-        # RLATTACK_EVAL_BATCH=1 engages the episode-batched eval substrate so
-        # the validated timeline also carries its rendezvous flush events.
         RLATTACK_TRACE=1 RLATTACK_TRACE_OUT="${trace_json}" \
-          RLATTACK_THREADS=4 RLATTACK_EVAL_BATCH=1 run_logged "${log}" \
+          RLATTACK_THREADS=4 run_logged "${log}" \
           build/tests/experiments_parallel_test \
           --gtest_filter='*MetricsInstrumentationObservesExperiment*' || rc=1
       fi
@@ -360,78 +369,43 @@ run_config() {
       fi
       DETAIL[${name}]="Trace* suites under TSan + traced experiment Chrome-JSON validation"
       ;;
-    batch)
+    rendezvous)
       # Both sanitizers reuse the asan/tsan build trees (incremental after
       # the first run). Host threads of the rendezvous block while one of
-      # them drives the shared model, so TSan sees the full handoff.
-      configure_build batch build-asan "${log}" \
-        -DRLATTACK_ASAN=ON -DRLATTACK_BUILD_BENCH=OFF \
-        -DRLATTACK_BUILD_EXAMPLES=OFF || rc=1
-      if [ ${rc} -eq 0 ]; then
-        ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:halt_on_error=1}" \
-          RLATTACK_THREADS=4 run_logged "${log}" \
-          build-asan/tests/seq2seq_batch_test \
-          --gtest_filter='Seq2SeqBatchedCraft*' || rc=1
-        ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:halt_on_error=1}" \
-          RLATTACK_THREADS=4 run_logged "${log}" \
-          build-asan/tests/experiments_parallel_test \
-          --gtest_filter='*CraftBatch*:*WorkerPool*' || rc=1
-      fi
-      configure_build batch build-tsan "${log}" \
-        -DRLATTACK_TSAN=ON -DRLATTACK_BUILD_BENCH=OFF \
-        -DRLATTACK_BUILD_EXAMPLES=OFF || rc=1
-      if [ ${rc} -eq 0 ]; then
-        TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-          RLATTACK_THREADS=4 run_logged "${log}" \
-          build-tsan/tests/seq2seq_batch_test \
-          --gtest_filter='Seq2SeqBatchedCraft*' || rc=1
-        TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-          RLATTACK_THREADS=4 run_logged "${log}" \
-          build-tsan/tests/experiments_parallel_test \
-          --gtest_filter='*CraftBatch*:*WorkerPool*' || rc=1
-      fi
-      DETAIL[${name}]="batched-craft parity suites under ASan + TSan"
-      ;;
-    eval-batch)
-      # The eval-rendezvous suites assert bit-identity of experiment rows
-      # with the substrate on vs off, so running them once per GEMM kernel
-      # proves the contract holds under either micro-kernel. Scalar is
-      # always available; avx2 joins when the host supports it.
+      # them drives the shared victim and model, so TSan sees the full
+      # handoff. The suites assert bit-identity with single-row queries, so
+      # running them once per GEMM kernel proves the contract holds under
+      # either micro-kernel. Scalar is always available; avx2 joins when
+      # the host supports it.
       local modes="scalar"
       if grep -q 'avx2' /proc/cpuinfo 2>/dev/null && \
          grep -q 'fma' /proc/cpuinfo 2>/dev/null; then
         modes="avx2 scalar"
       fi
-      configure_build eval-batch build-asan "${log}" \
+      local mode
+      configure_build rendezvous build-asan "${log}" \
         -DRLATTACK_ASAN=ON -DRLATTACK_BUILD_BENCH=OFF \
         -DRLATTACK_BUILD_EXAMPLES=OFF || rc=1
       if [ ${rc} -eq 0 ]; then
-        local mode
         for mode in ${modes}; do
           echo "--- ASan RLATTACK_SIMD=${mode} ---" >>"${log}"
           ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:halt_on_error=1}" \
-            RLATTACK_THREADS=4 RLATTACK_SIMD="${mode}" run_logged "${log}" \
-            build-asan/tests/rl_test --gtest_filter='*ActBatch*' || rc=1
-          ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:halt_on_error=1}" \
-            RLATTACK_THREADS=4 RLATTACK_SIMD="${mode}" run_logged "${log}" \
-            build-asan/tests/experiments_parallel_test \
-            --gtest_filter='*EvalBatch*' || rc=1
+            RLATTACK_SIMD="${mode}" \
+            run_rendezvous_suites build-asan "${log}" || rc=1
         done
       fi
-      configure_build eval-batch build-tsan "${log}" \
+      configure_build rendezvous build-tsan "${log}" \
         -DRLATTACK_TSAN=ON -DRLATTACK_BUILD_BENCH=OFF \
         -DRLATTACK_BUILD_EXAMPLES=OFF || rc=1
       if [ ${rc} -eq 0 ]; then
-        local mode
         for mode in ${modes}; do
           echo "--- TSan RLATTACK_SIMD=${mode} ---" >>"${log}"
           TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-            RLATTACK_THREADS=4 RLATTACK_SIMD="${mode}" run_logged "${log}" \
-            build-tsan/tests/experiments_parallel_test \
-            --gtest_filter='*EvalBatch*' || rc=1
+            RLATTACK_SIMD="${mode}" \
+            run_rendezvous_suites build-tsan "${log}" || rc=1
         done
       fi
-      DETAIL[${name}]="episode-batched eval parity suites under ASan + TSan x SIMD kernels"
+      DETAIL[${name}]="episode-driver rendezvous parity suites under ASan + TSan x SIMD kernels"
       ;;
     simd)
       # Dispatch parity: the kernel/attention parity suites must pass when

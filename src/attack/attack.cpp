@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "rlattack/attack/batch_planner.hpp"
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -13,7 +12,6 @@
 #include "rlattack/nn/loss.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/util/check.hpp"
-#include "rlattack/util/env.hpp"
 #include "rlattack/util/stats.hpp"
 
 namespace rlattack::attack {
@@ -44,15 +42,6 @@ struct AttackMetrics {
   obs::Counter& encode_reuse = reg.counter("attack.encode.reuse");
 };
 AttackMetrics g_metrics;
-
-std::atomic<bool>& craft_cache_flag() {
-  // Default on; RLATTACK_CRAFT_CACHE=0 starts the process with the cache
-  // off (tests flip it per run via set_craft_cache_enabled instead).
-  static std::atomic<bool> enabled = [] {
-    return !util::env::is_zero(util::env::Var::kCraftCache);
-  }();
-  return enabled;
-}
 
 /// Scales `delta` so its norm equals `budget.epsilon` (no-op on a zero
 /// vector).
@@ -150,24 +139,13 @@ AnchoredDirection resolve_anchor_and_direction(CraftContext& ctx,
 
 }  // namespace
 
-bool craft_cache_enabled() noexcept {
-  return craft_cache_flag().load(std::memory_order_relaxed);
-}
-
-void set_craft_cache_enabled(bool enabled) noexcept {
-  craft_cache_flag().store(enabled, std::memory_order_relaxed);
-}
-
 CraftContext::CraftContext(seq2seq::Seq2SeqModel& model,
                            const CraftInputs& inputs)
-    : model_(model), inputs_(inputs), use_cache_(craft_cache_enabled()) {}
+    : model_(model), inputs_(inputs) {}
 
 CraftContext::CraftContext(BatchedCraftPlanner& planner,
                            const CraftInputs& inputs)
-    : model_(planner.model()),
-      inputs_(inputs),
-      planner_(&planner),
-      use_cache_(true) {}
+    : model_(planner.model()), inputs_(inputs), planner_(&planner) {}
 
 nn::Tensor CraftContext::cached_logits(const nn::Tensor& current_obs) {
   if (!encoded_) {
@@ -182,8 +160,6 @@ nn::Tensor CraftContext::cached_logits(const nn::Tensor& current_obs) {
 
 std::vector<std::size_t> CraftContext::predict_actions() {
   ++q_forward_;
-  if (planner_ == nullptr && !use_cache_)
-    return attack::predict_actions(model_, inputs_);
   g_metrics.queries_forward.add();
   nn::Tensor logits;
   if (planner_ != nullptr) {
@@ -212,8 +188,6 @@ std::vector<std::size_t> CraftContext::predict_actions() {
 std::vector<float> CraftContext::position_logits(
     std::size_t position, const nn::Tensor& current_obs) {
   ++q_forward_;
-  if (planner_ == nullptr && !use_cache_)
-    return attack::position_logits(model_, inputs_, position, current_obs);
   g_metrics.queries_forward.add();
   nn::Tensor logits;
   if (planner_ != nullptr) {
@@ -240,9 +214,6 @@ nn::Tensor CraftContext::current_obs_gradient(std::size_t position,
                                               std::size_t action,
                                               const nn::Tensor& current_obs) {
   ++q_gradient_;
-  if (planner_ == nullptr && !use_cache_)
-    return attack::current_obs_gradient(model_, inputs_, position, action,
-                                        current_obs);
   g_metrics.queries_gradient.add();
   if (planner_ != nullptr) {
     if (position >= model_.config().output_steps)
@@ -276,9 +247,7 @@ std::pair<std::vector<std::size_t>, nn::Tensor>
 CraftContext::anchored_gradient(std::size_t position,
                                 const nn::Tensor& current_obs) {
   if (planner_ == nullptr) {
-    // No rendezvous to save: ask the two questions exactly as the callers
-    // used to, so the single-row paths (cache on or off) stay untouched
-    // parity oracles.
+    // No rendezvous to save: ask the two questions one after the other.
     std::vector<std::size_t> predicted = predict_actions();
     if (position >= predicted.size())
       throw std::logic_error("Attack: goal position beyond output sequence");
@@ -319,9 +288,6 @@ nn::Tensor CraftContext::logit_diff_gradient(std::size_t position,
                                              std::size_t a, std::size_t b,
                                              const nn::Tensor& current_obs) {
   ++q_gradient_;
-  if (planner_ == nullptr && !use_cache_)
-    return attack::logit_diff_gradient(model_, inputs_, position, a, b,
-                                       current_obs);
   g_metrics.queries_gradient.add();
   if (planner_ != nullptr) {
     const seq2seq::Seq2SeqConfig& cfg = model_.config();

@@ -17,55 +17,6 @@ namespace rlattack::attack {
 
 namespace {
 
-struct BatchEnv {
-  bool enabled = true;
-  std::size_t width = 32;
-};
-
-/// RLATTACK_CRAFT_BATCH: "0" = kill switch, an integer > 1 = enabled with
-/// that flush width, anything else (including unset) = enabled at the
-/// default width.
-BatchEnv parse_batch_env() {
-  BatchEnv out;
-  const std::optional<long> v = util::env::get_long(util::env::Var::kCraftBatch);
-  if (!v) return out;
-  if (*v == 0) out.enabled = false;
-  if (*v > 1) out.width = static_cast<std::size_t>(*v);
-  return out;
-}
-
-std::atomic<bool>& batch_flag() {
-  static std::atomic<bool> enabled{parse_batch_env().enabled};
-  return enabled;
-}
-
-std::atomic<std::size_t>& batch_width() {
-  static std::atomic<std::size_t> width{parse_batch_env().width};
-  return width;
-}
-
-/// RLATTACK_EVAL_BATCH: same grammar as RLATTACK_CRAFT_BATCH ("0" = kill
-/// switch, integer > 1 = enabled with that rendezvous width, anything else
-/// including unset = enabled at the default width).
-BatchEnv parse_eval_env() {
-  BatchEnv out;
-  const std::optional<long> v = util::env::get_long(util::env::Var::kEvalBatch);
-  if (!v) return out;
-  if (*v == 0) out.enabled = false;
-  if (*v > 1) out.width = static_cast<std::size_t>(*v);
-  return out;
-}
-
-std::atomic<bool>& eval_flag() {
-  static std::atomic<bool> enabled{parse_eval_env().enabled};
-  return enabled;
-}
-
-std::atomic<std::size_t>& eval_width() {
-  static std::atomic<std::size_t> width{parse_eval_env().width};
-  return width;
-}
-
 std::size_t parse_stall_env() {
   if (const std::optional<long> v =
           util::env::get_long(util::env::Var::kTraceStallMs);
@@ -104,38 +55,6 @@ PlannerMetrics& planner_metrics() {
 }
 
 }  // namespace
-
-bool craft_batch_enabled() noexcept {
-  return batch_flag().load(std::memory_order_relaxed);
-}
-
-void set_craft_batch_enabled(bool enabled) noexcept {
-  batch_flag().store(enabled, std::memory_order_relaxed);
-}
-
-std::size_t craft_batch_width() noexcept {
-  return batch_width().load(std::memory_order_relaxed);
-}
-
-void set_craft_batch_width(std::size_t width) noexcept {
-  batch_width().store(width == 0 ? 1 : width, std::memory_order_relaxed);
-}
-
-bool eval_batch_enabled() noexcept {
-  return eval_flag().load(std::memory_order_relaxed);
-}
-
-void set_eval_batch_enabled(bool enabled) noexcept {
-  eval_flag().store(enabled, std::memory_order_relaxed);
-}
-
-std::size_t eval_batch_width() noexcept {
-  return eval_width().load(std::memory_order_relaxed);
-}
-
-void set_eval_batch_width(std::size_t width) noexcept {
-  eval_width().store(width == 0 ? 1 : width, std::memory_order_relaxed);
-}
 
 std::size_t stall_watchdog_ms() noexcept {
   return stall_ms().load(std::memory_order_relaxed);

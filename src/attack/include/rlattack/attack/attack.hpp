@@ -48,25 +48,18 @@ struct CraftInputs {
   nn::Tensor current_obs;     ///< [1, F]
 };
 
-/// Whether crafting runs through the Seq2SeqModel craft-context cache
-/// (encode_history / forward_cached / backward_to_current) or through the
-/// full forward/backward. On by default; the RLATTACK_CRAFT_CACHE
-/// environment variable ("0" disables) sets the process-initial value. The
-/// two paths are bit-identical — the uncached one stays available as the
-/// parity oracle (tests/experiments_parallel_test.cpp flips this per run).
-bool craft_cache_enabled() noexcept;
-void set_craft_cache_enabled(bool enabled) noexcept;
-
 class BatchedCraftPlanner;
 
 /// One craft's model-query frontend (the Section 4.4 attack loop). The
 /// histories (A_{t-1}, S_{t-1}) are fixed for the whole craft, so the
 /// context encodes them lazily exactly once — on the first model query, so
 /// model-free attacks never pay for it — and serves every further query,
-/// iterative PGD/CW/JSMA steps included, from the cached tail path. With
-/// craft_cache_enabled() off, every query delegates to the full-path free
-/// helpers below, bit-identically. `model` and `inputs` must outlive the
-/// context; one context serves exactly one (A_{t-1}, S_{t-1}) snapshot.
+/// iterative PGD/CW/JSMA steps included, from the cached tail path
+/// (Seq2SeqModel::encode_history / forward_cached / backward_to_current).
+/// Its answers are bit-identical to the full-path free helpers below,
+/// which tests keep as the parity oracle. `model` and `inputs` must
+/// outlive the context; one context serves exactly one (A_{t-1}, S_{t-1})
+/// snapshot.
 ///
 /// A context constructed over a BatchedCraftPlanner answers the same four
 /// queries with the same bits and the same query accounting, but routes
@@ -119,7 +112,6 @@ class CraftContext {
   const CraftInputs& inputs_;
   /// Non-null when this context routes through a planner rendezvous.
   BatchedCraftPlanner* planner_ = nullptr;
-  bool use_cache_;      ///< craft_cache_enabled() at construction
   bool encoded_ = false;
   seq2seq::HistoryEncoding encoding_;
   std::size_t q_forward_ = 0;   ///< forward queries through this context
@@ -150,11 +142,6 @@ class Attack {
                      env::ObservationBounds bounds, util::Rng& rng);
 
   virtual std::string name() const = 0;
-
-  /// Whether perturb() ever queries the approximator. Model-free attacks
-  /// (Gaussian) return false so the batched drivers never enroll them in a
-  /// planner rendezvous they would only stall.
-  virtual bool uses_model() const noexcept { return true; }
 };
 
 using AttackPtr = std::unique_ptr<Attack>;
@@ -167,7 +154,6 @@ class GaussianAttack final : public Attack {
   nn::Tensor perturb(CraftContext& ctx, const Goal& goal, const Budget& budget,
                      env::ObservationBounds bounds, util::Rng& rng) override;
   std::string name() const override { return "gaussian"; }
-  bool uses_model() const noexcept override { return false; }
 };
 
 /// Single-step fast gradient attack: sign step for L-inf budgets, normalised

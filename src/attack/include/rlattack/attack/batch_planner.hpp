@@ -16,13 +16,13 @@
 //     pass on the shared model and wakes everyone with their row.
 //   - Per-row bit-identity of the batched model calls (seq2seq/model.hpp)
 //     makes each probe's answer independent of batch membership, so episode
-//     outcomes are bit-identical to the unbatched drivers no matter how the
+//     outcomes are bit-identical to single-row queries no matter how the
 //     flushes interleave.
 //
-// Liveness rule: enroll only sessions whose attack can still query the
-// model (Attack::uses_model, retire after a single-step attack fires) —
-// an enrolled participant that never probes would stall every flush until
-// its episode ends.
+// Liveness rule: a flush waits for every enrolled participant, so a
+// participant must keep probing until it retires. The episode driver's
+// sessions query the victim every step, so they stay enrolled for their
+// whole episode.
 #pragma once
 
 #include <condition_variable>
@@ -36,38 +36,12 @@
 
 namespace rlattack::attack {
 
-/// Whether the episode drivers batch concurrent sessions' craft queries
-/// through a BatchedCraftPlanner. On by default; the RLATTACK_CRAFT_BATCH
-/// environment variable sets the process-initial value: "0" disables
-/// (falling back to the per-worker single-row path, bit-identically), any
-/// integer > 1 both enables and overrides the batch width.
-bool craft_batch_enabled() noexcept;
-void set_craft_batch_enabled(bool enabled) noexcept;
-
-/// Concurrent episode hosts a batched driver runs (the flush width upper
-/// bound). Defaults to 32; RLATTACK_CRAFT_BATCH=<int greater than 1>
-/// overrides. Batching is a pure arithmetic-intensity win, so the width is
-/// deliberately decoupled from the machine's thread count (measured on the
-/// 1-core reference box, 32 beats 16 on every fig5/fig6 row and widths
-/// beyond ~32 are flat).
-std::size_t craft_batch_width() noexcept;
-void set_craft_batch_width(std::size_t width) noexcept;
-
-/// Whether the episode drivers batch concurrent episodes' per-step
-/// evaluation queries (victim policy actions, approximator agreement
-/// probes) through the same rendezvous. On by default; RLATTACK_EVAL_BATCH
-/// sets the process-initial value with the same grammar as
-/// RLATTACK_CRAFT_BATCH: "0" disables (bit-identically falling back to the
-/// per-worker single-row drivers), an integer > 1 both enables and
-/// overrides the rendezvous width.
-bool eval_batch_enabled() noexcept;
-void set_eval_batch_enabled(bool enabled) noexcept;
-
-/// Concurrent episode hosts an eval-batched driver runs (the rendezvous
-/// width upper bound). Defaults to 32, same rationale as
-/// craft_batch_width(); RLATTACK_EVAL_BATCH=<int greater than 1> overrides.
-std::size_t eval_batch_width() noexcept;
-void set_eval_batch_width(std::size_t width) noexcept;
+/// Concurrent episode hosts the episode driver runs at most (the
+/// rendezvous width upper bound): 32. Batching is an arithmetic-intensity
+/// win, so the width is decoupled from the machine's thread count
+/// (measured on a 1-core host, 32 beat 16 on every fig5/fig6 row and
+/// widths beyond ~32 were flat).
+constexpr std::size_t eval_batch_width() noexcept { return 32; }
 
 /// Checked builds only: a participant parked in the rendezvous longer than
 /// this interval (milliseconds) emits a "craft.batch.stall" instant trace

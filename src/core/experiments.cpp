@@ -20,21 +20,17 @@ obs::Span experiment_span(const char* metric) {
 }
 
 void finish_timing(ExperimentTiming* timing, obs::Span& span,
-                   std::size_t threads, std::size_t episodes,
-                   std::size_t craft_batch, std::size_t eval_batch,
-                   const char* name) {
+                   const std::vector<EpisodeJob>& jobs, const char* name) {
   span.stop();
   const double wall = span.seconds();
+  const std::size_t hosts = episode_hosts(jobs);
   if (timing) {
     timing->wall_seconds = wall;
-    timing->threads = threads;
-    timing->episodes = episodes;
-    timing->craft_batch = craft_batch;
-    timing->eval_batch = eval_batch;
+    timing->hosts = hosts;
+    timing->episodes = jobs.size();
   }
-  util::log_info(name, ": ", episodes, " episodes in ", wall, " s (",
-                 threads, " episode workers, craft batch ", craft_batch,
-                 ", eval batch ", eval_batch, ")");
+  util::log_info(name, ": ", jobs.size(), " episodes in ", wall, " s (",
+                 hosts, " episode hosts)");
 }
 
 }  // namespace
@@ -49,8 +45,6 @@ std::vector<RewardPoint> run_reward_experiment(
   // the seq2seq against DQN and transfers to the other algorithms).
   ApproximatorInfo approx =
       zoo.approximator(config.game, rl::Algorithm::kDqn, m);
-  const std::size_t threads =
-      resolve_experiment_threads(zoo.config().experiment_threads);
 
   // Flatten the (attack x budget) grid into seed-deterministic episode
   // jobs, one per run.
@@ -78,7 +72,7 @@ std::vector<RewardPoint> run_reward_experiment(
     }
   }
   const std::vector<EpisodeOutcome> outcomes =
-      run_episode_jobs(victim, config.game, *approx.model, jobs, threads);
+      run_episode_jobs(victim, config.game, *approx.model, jobs);
 
   // Reduce each cell in run order: the same accumulation sequence as the
   // serial loops, hence bit-identical statistics.
@@ -104,9 +98,7 @@ std::vector<RewardPoint> run_reward_experiment(
                    cells[c].budget, " -> reward ", point.mean_reward,
                    " +/- ", point.stddev_reward);
   }
-  finish_timing(timing, span, threads, jobs.size(),
-                resolve_craft_batch(jobs), resolve_eval_batch(jobs),
-                "reward experiment");
+  finish_timing(timing, span, jobs, "reward experiment");
   return points;
 }
 
@@ -117,8 +109,6 @@ std::vector<TransferabilityPoint> run_transferability_experiment(
   rl::Agent& victim = zoo.victim(config.game, config.algorithm);
   ApproximatorInfo approx =
       zoo.approximator(config.game, rl::Algorithm::kDqn, 1);
-  const std::size_t threads =
-      resolve_experiment_threads(zoo.config().experiment_threads);
 
   struct Cell {
     attack::Kind kind;
@@ -142,7 +132,7 @@ std::vector<TransferabilityPoint> run_transferability_experiment(
     }
   }
   const std::vector<EpisodeOutcome> outcomes =
-      run_episode_jobs(victim, config.game, *approx.model, jobs, threads);
+      run_episode_jobs(victim, config.game, *approx.model, jobs);
 
   std::vector<TransferabilityPoint> points;
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -167,9 +157,7 @@ std::vector<TransferabilityPoint> run_transferability_experiment(
                    cells[c].budget, " -> rate ", point.transfer_rate, " (",
                    samples, " samples)");
   }
-  finish_timing(timing, span, threads, jobs.size(),
-                resolve_craft_batch(jobs), resolve_eval_batch(jobs),
-                "transferability experiment");
+  finish_timing(timing, span, jobs, "transferability experiment");
   return points;
 }
 
@@ -188,8 +176,6 @@ std::vector<TimeBombPoint> run_timebomb_experiment(
       zoo.approximator(config.game, config.approximator_source, m);
   const attack::Budget budget{attack::Budget::Norm::kLinf,
                               config.epsilon_linf};
-  const std::size_t threads =
-      resolve_experiment_threads(zoo.config().experiment_threads);
   const std::size_t output_steps = approx.model->config().output_steps;
 
   // Each (delay, run) needs a clean counterfactual and an attacked episode
@@ -229,7 +215,7 @@ std::vector<TimeBombPoint> run_timebomb_experiment(
     }
   }
   const std::vector<EpisodeOutcome> outcomes =
-      run_episode_jobs(victim, config.game, *approx.model, jobs, threads);
+      run_episode_jobs(victim, config.game, *approx.model, jobs);
 
   std::vector<TimeBombPoint> points;
   for (std::size_t d = 0; d < delays.size(); ++d) {
@@ -264,9 +250,7 @@ std::vector<TimeBombPoint> run_timebomb_experiment(
                    config.epsilon_linf, " delay ", delay, " -> rate ",
                    point.success_rate, " (", trials, " trials)");
   }
-  finish_timing(timing, span, threads, jobs.size(),
-                resolve_craft_batch(jobs), resolve_eval_batch(jobs),
-                "timebomb experiment");
+  finish_timing(timing, span, jobs, "timebomb experiment");
   return points;
 }
 

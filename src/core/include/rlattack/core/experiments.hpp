@@ -4,11 +4,11 @@
 // them into the paper-shaped tables.
 //
 // Every driver flattens its grid into independent, seed-deterministic
-// episode jobs and fans them out across the episode-parallel runner
+// episode jobs and runs them through the episode driver
 // (parallel_episodes.hpp); statistics are reduced in run order afterwards,
-// so result rows are bit-identical at any ZooConfig::experiment_threads
-// setting. Passing a non-null `timing` out-parameter records wall-clock and
-// worker count for the bench CSVs.
+// so result rows are bit-identical at any thread count. Passing a non-null
+// `timing` out-parameter records wall-clock and host count for the bench
+// CSVs.
 #pragma once
 
 #include "rlattack/core/parallel_episodes.hpp"

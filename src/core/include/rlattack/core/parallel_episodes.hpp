@@ -1,19 +1,16 @@
-// Episode-parallel execution layer for the experiment drivers.
+// Episode driver for the experiment grids.
 //
 // The paper's evaluation grids (Figures 4-9) are embarrassingly parallel:
 // every episode is a pure function of (victim weights, approximator
 // weights, attack kind, budget, policy, episode seed) because
 // AttackSession::run_episode reseeds the environment, the rollout FIFO and
 // the attack RNG from the episode seed alone. This module flattens a grid
-// into a job list, fans the jobs out across worker clones on
-// util::ThreadPool::global(), and returns outcomes indexed by job position
-// so callers can reduce in run order — bit-identical results at any thread
-// count (the same determinism contract the GEMM kernels established).
-//
-// Layering rule: episode workers run *on* the global pool, and the GEMM
-// kernels underneath each episode also target that pool — the pool's
-// nested-parallelism guard (ThreadPool::inside_worker) makes those inner
-// loops run caller-inline, so one episode never oversubscribes the machine.
+// into a job list, runs the jobs concurrently through one rendezvous that
+// batches their victim and approximator queries, and returns outcomes
+// indexed by job position so callers can reduce in run order —
+// bit-identical results at any thread count and any rendezvous
+// interleaving (the same determinism contract the GEMM kernels
+// established).
 #pragma once
 
 #include "rlattack/core/pipeline.hpp"
@@ -32,77 +29,37 @@ struct EpisodeJob {
 /// and BENCH_experiments.json.
 struct ExperimentTiming {
   double wall_seconds = 0.0;
-  std::size_t threads = 1;   ///< resolved episode-worker count
+  std::size_t hosts = 0;     ///< concurrent episode hosts (episode_hosts)
   std::size_t episodes = 0;  ///< total episodes executed
-  /// Concurrent-host count of the batched craft substrate (0 = the run used
-  /// the unbatched per-episode model path).
-  std::size_t craft_batch = 0;
-  /// Concurrent-host count of the episode-batched evaluation substrate
-  /// (0 = per-step victim/approximator queries ran single-row).
-  std::size_t eval_batch = 0;
 };
 
-/// Episode-worker count an experiment driver should use. `requested` > 0
-/// wins; otherwise the RLATTACK_EXPERIMENT_THREADS env var (a positive
-/// integer) if set; otherwise the global thread-pool size, which is itself
-/// RLATTACK_THREADS-aware. A result of 1 selects the historical serial
-/// code path (no clones, no pool dispatch).
-std::size_t resolve_experiment_threads(std::size_t requested);
-
-/// Concurrent-host count the batched craft substrate will use for this job
-/// list: min(attack::craft_batch_width(), jobs.size()) when the substrate
-/// is enabled (RLATTACK_CRAFT_BATCH), the craft cache is on, and at least
-/// two jobs can actually enroll (an attacked policy with a model-querying
-/// attack). 0 means run_episode_jobs takes the unbatched path — the
-/// substrate is off, or the job list cannot form a rendezvous worth the
-/// gather/scatter overhead.
-std::size_t resolve_craft_batch(const std::vector<EpisodeJob>& jobs);
-
-/// Concurrent-host count of the episode-batched evaluation substrate:
-/// min(attack::eval_batch_width(), jobs.size()) when the substrate is
-/// enabled (RLATTACK_EVAL_BATCH), the craft cache is on, and the job list
-/// has at least two episodes. Unlike resolve_craft_batch there is no
-/// enrollability filter — every episode queries the victim policy every
-/// step, so every job benefits from the fused act_batch forwards. 0 means
-/// run_episode_jobs falls through to the next path.
-std::size_t resolve_eval_batch(const std::vector<EpisodeJob>& jobs);
+/// Concurrent episode hosts run_episode_jobs runs for this job list:
+/// min(attack::eval_batch_width(), jobs.size()).
+std::size_t episode_hosts(const std::vector<EpisodeJob>& jobs);
 
 /// Runs every job against (victim, model) for `game`, returning outcomes
 /// indexed by job position.
 ///
-/// Path selection, in precedence order:
-///   1. Episode-batched evaluation (resolve_eval_batch(jobs) > 0): that
-///      many host threads share ONE attack::BatchedCraftPlanner bound to
-///      the ORIGINAL victim and model — no clones at all. Per-step victim
-///      policy queries fuse into shared act_batch forwards through the
-///      planner's victim handler, and enrolled episodes' approximator
-///      queries batch through the same rendezvous, so this path subsumes
-///      the craft substrate (it batches craft probes even when
-///      RLATTACK_CRAFT_BATCH=0 — the craft kill switch selects the
-///      reporting/fallback path, not per-probe routing, and rows are
-///      bit-identical either way).
-///   2. Batched craft substrate (resolve_craft_batch(jobs) > 0): that many
-///      host threads share ONE attack::BatchedCraftPlanner bound to the
-///      original `model`; every approximator query of every concurrently
-///      running episode lands in one shared tail GEMM batch. Hosts use
-///      pooled victim clones; the model is never cloned (all access is
-///      serialized inside the planner flush). Host count comes from the
-///      substrate width, not `threads` — on a single-core machine the win
-///      is arithmetic intensity, not parallelism.
-///   3. threads == 1: jobs run in order on the calling thread against the
-///      original victim and model (historical serial path).
-///   4. threads > 1: min(threads, jobs) workers — each with its own pooled
-///      victim/model clone and a per-job AttackSession + attack instance —
-///      pull jobs from a shared queue over the global pool.
+/// episode_hosts(jobs) plain host threads (never global-pool workers) pull
+/// jobs from a shared counter. They share ONE attack::BatchedCraftPlanner
+/// bound to the ORIGINAL victim and model — no clones. Every episode
+/// enrolls in its rendezvous for its whole length: per-step victim policy
+/// queries fuse into shared act_batch forwards through the planner's
+/// victim handler, and approximator queries into shared batched tail
+/// passes. A one-job list runs the same way with one host. Outcomes land
+/// at their job index and every episode is a pure function of its seed,
+/// so the result vector is bit-identical to running each job alone
+/// through AttackSession::run_episode with no planner.
 ///
-/// Worker victim/model clones persist across invocations in a
-/// process-lifetime pool and are re-synchronized in place (reset_from)
-/// instead of reconstructed; concurrent invocations serialize on that
-/// pool. Outcomes land at their job index and every episode is a pure
-/// function of its seed, so the result vector is bit-identical across all
-/// three paths and any thread count.
+/// Concurrency: all victim and model access happens inside the
+/// rendezvous flush, one thread at a time, but two invocations do not
+/// share a rendezvous. They must not use the same victim or model at
+/// once.
+///
+/// `threads` is ignored; it remains so that five-argument callers still
+/// compile.
 std::vector<EpisodeOutcome> run_episode_jobs(
     rl::Agent& victim, env::Game game, seq2seq::Seq2SeqModel& model,
-    const std::vector<EpisodeJob>& jobs, std::size_t threads);
+    const std::vector<EpisodeJob>& jobs, std::size_t threads = 0);
 
 }  // namespace rlattack::core

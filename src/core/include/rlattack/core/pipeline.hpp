@@ -80,12 +80,13 @@ class AttackSession {
                 attack::Budget budget);
 
   /// Runs one episode under `policy` with full determinism from
-  /// `episode_seed`. With a non-null `planner`, every approximator query of
-  /// the episode routes through the planner's rendezvous so concurrent
-  /// sessions share batched tail GEMMs: the session enrolls a participant
-  /// up front when its attack can query the model, retires it as soon as no
-  /// further queries can come (single-step attacks retire right after
-  /// firing), and the outcome stays bit-identical to the unbatched run.
+  /// `episode_seed`. With no planner, every victim and approximator query
+  /// runs single-row on the calling thread (the CLI and one-attacker
+  /// path). With a planner, the session enrolls a participant for the
+  /// whole episode and routes every victim query (an EvalProbe; the
+  /// planner must have a victim handler) and every approximator query
+  /// through its rendezvous, so concurrent sessions share batched
+  /// forwards. The outcome is bit-identical either way.
   EpisodeOutcome run_episode(const AttackPolicy& policy,
                              std::uint64_t episode_seed,
                              attack::BatchedCraftPlanner* planner = nullptr);

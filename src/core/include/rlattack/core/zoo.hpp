@@ -19,11 +19,13 @@ struct ZooConfig {
   double scale = 1.0;       ///< multiplies all episode/epoch budgets
   std::uint64_t seed = 42;  ///< base seed; derived per artefact
   bool verbose = true;
-  /// Episode-parallel worker count used by the experiment drivers and the
-  /// Zoo's own evaluation/observation loops. 0 = auto: the
+  /// Episode-worker count of the Zoo's own evaluation and observation
+  /// loops (victim_score, episodes). 0 = auto: the
   /// RLATTACK_EXPERIMENT_THREADS env var if set, else the global
-  /// thread-pool size (RLATTACK_THREADS-aware). 1 = the exact serial code
-  /// path. Results are bit-identical at any setting.
+  /// thread-pool size (RLATTACK_THREADS-aware). 1 = a serial loop on the
+  /// original victim. Results are bit-identical at any setting. The
+  /// experiment drivers do not read it: their episodes always run through
+  /// run_episode_jobs' rendezvous (parallel_episodes.hpp).
   std::size_t experiment_threads = 0;
 };
 
@@ -76,7 +78,8 @@ class Zoo {
   const ZooConfig& config() const noexcept { return config_; }
 
   /// Overrides ZooConfig::experiment_threads after construction, so tests
-  /// and benches can compare worker counts against one set of artefacts.
+  /// can compare the Zoo loops' worker counts against one set of
+  /// artefacts.
   void set_experiment_threads(std::size_t threads) noexcept {
     config_.experiment_threads = threads;
   }

@@ -1,5 +1,6 @@
 #include "rlattack/core/parallel_episodes.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -8,160 +9,33 @@
 #include "rlattack/obs/trace.hpp"
 #include "rlattack/rl/batch.hpp"
 #include "rlattack/util/check.hpp"
-#include "rlattack/util/env.hpp"
-#include "rlattack/util/thread_pool.hpp"
-#include "rlattack/util/thread_safety.hpp"
 
 namespace rlattack::core {
 
-std::size_t resolve_experiment_threads(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const std::optional<long> v =
-          util::env::get_long(util::env::Var::kExperimentThreads);
-      v && *v > 0)
-    return static_cast<std::size_t>(*v);
-  return util::ThreadPool::global().size();
-}
-
-std::size_t resolve_craft_batch(const std::vector<EpisodeJob>& jobs) {
-  if (!attack::craft_batch_enabled() || !attack::craft_cache_enabled())
-    return 0;
-  // A rendezvous needs at least two episodes that will actually query the
-  // approximator; clean runs and Gaussian noise never enroll.
-  std::size_t enrollable = 0;
-  for (const EpisodeJob& job : jobs)
-    if (job.policy.mode != AttackPolicy::Mode::kNone &&
-        job.attack != attack::Kind::kGaussian)
-      ++enrollable;
-  if (enrollable < 2) return 0;
-  const std::size_t hosts = std::min(attack::craft_batch_width(), jobs.size());
-  return hosts >= 2 ? hosts : 0;
-}
-
-std::size_t resolve_eval_batch(const std::vector<EpisodeJob>& jobs) {
-  // Gated on the craft cache like resolve_craft_batch: enrolled episodes
-  // route their approximator queries through the planner, whose flush is
-  // built on the cached-encoding batch calls.
-  if (!attack::eval_batch_enabled() || !attack::craft_cache_enabled())
-    return 0;
-  // Every episode queries the victim every step, so every job can enroll —
-  // a rendezvous just needs two of them.
-  if (jobs.size() < 2) return 0;
-  const std::size_t hosts = std::min(attack::eval_batch_width(), jobs.size());
-  return hosts >= 2 ? hosts : 0;
+std::size_t episode_hosts(const std::vector<EpisodeJob>& jobs) {
+  return std::min(attack::eval_batch_width(), jobs.size());
 }
 
 namespace {
 
 EpisodeOutcome run_one_job(rl::Agent& victim, env::Game game,
                            seq2seq::Seq2SeqModel& model, const EpisodeJob& job,
-                           attack::BatchedCraftPlanner* planner = nullptr) {
+                           attack::BatchedCraftPlanner& planner) {
   static obs::SpanStat& episode_span =
       obs::MetricsRegistry::global().span("phase.episode");
   obs::Span span(episode_span);
   obs::TraceScope trace("episode.job", "seed", static_cast<double>(job.seed));
   // Attacks hold only immutable configuration (steps, coefficients), so a
-  // fresh default-configured instance per job matches the shared instance
-  // the serial drivers historically used.
+  // fresh default-configured instance per job matches a shared instance.
   attack::AttackPtr attacker = attack::make_attack(job.attack);
   AttackSession session(victim, game, model, *attacker, job.budget);
-  return session.run_episode(job.policy, job.seed, planner);
+  return session.run_episode(job.policy, job.seed, &planner);
 }
 
 /// Number of Rng draws hashed per job when cross-checking stream purity in
 /// checked builds. Enough to cover the seed-derived splits an episode
-/// performs up front; cheap enough to recompute on every worker.
+/// performs up front; cheap enough to recompute on every host.
 constexpr std::size_t kCheckedRngDraws = 32;
-
-/// Order-sensitive hash of every parameter tensor of a model/agent clone.
-/// Clones must be bit-identical to their source before any job runs —
-/// divergent weights would silently break the run-order reduction's
-/// bit-identical-rows contract.
-std::uint64_t hash_params(const std::vector<nn::Param>& params) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const nn::Param& p : params) {
-    const std::uint64_t t = util::hash_floats(p.value->data());
-    h ^= t + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-/// Process-lifetime worker pool: one victim clone (and, for the threaded
-/// path, one model clone) per slot, re-synchronized in place on every
-/// acquisition instead of reconstructed. Clone construction costs a full
-/// set of network allocations per episode batch; experiment grids invoke
-/// run_episode_jobs hundreds of times against the same victim/model, so
-/// after warm-up the pool makes those invocations allocation-free (pinned
-/// by the agent/model construction counters in checked tests).
-struct PooledWorker {
-  rl::AgentPtr victim;
-  std::unique_ptr<seq2seq::Seq2SeqModel> model;
-};
-
-struct WorkerPool {
-  util::Mutex mu;  ///< held for the whole pooled run, not just acquisition
-  /// Clone slots; stable addresses only while mu is held (sync may resize).
-  std::vector<PooledWorker> workers RLATTACK_GUARDED_BY(mu);
-};
-
-WorkerPool& worker_pool() {
-  static WorkerPool pool;
-  return pool;
-}
-
-/// Ensures slots [0, count) hold a victim clone of `victim` (and a model
-/// clone of `model` when non-null), reusing existing clones via reset_from
-/// and rebuilding only on architecture mismatch.
-void sync_workers_locked(WorkerPool& pool, rl::Agent& victim,
-                         seq2seq::Seq2SeqModel* model, std::size_t count)
-    RLATTACK_REQUIRES(pool.mu) {
-  if (pool.workers.size() < count) pool.workers.resize(count);
-  for (std::size_t w = 0; w < count; ++w) {
-    PooledWorker& slot = pool.workers[w];
-    if (slot.victim != nullptr) {
-      try {
-        slot.victim->reset_from(victim);
-      } catch (const std::logic_error&) {
-        slot.victim = victim.clone();  // architecture changed; rebuild
-      }
-    } else {
-      slot.victim = victim.clone();
-    }
-    if (model == nullptr) continue;
-    if (slot.model != nullptr) {
-      try {
-        slot.model->reset_from(*model);
-      } catch (const std::logic_error&) {
-        slot.model = model->clone();
-      }
-    } else {
-      slot.model = model->clone();
-    }
-  }
-}
-
-/// Checked build: every pooled clone must leave sync bit-identical to its
-/// source — a stale or partially reset clone would silently break the
-/// run-order reduction's bit-identical-rows contract.
-void verify_workers_locked(WorkerPool& pool, rl::Agent& victim,
-                           seq2seq::Seq2SeqModel* model, std::size_t count)
-    RLATTACK_REQUIRES(pool.mu) {
-  const std::uint64_t victim_hash = hash_params(victim.network().params());
-  const std::uint64_t model_hash =
-      model != nullptr ? hash_params(model->params()) : 0;
-  for (std::size_t w = 0; w < count; ++w) {
-    RLATTACK_CHECK(
-        hash_params(pool.workers[w].victim->network().params()) == victim_hash,
-        "run_episode_jobs: victim clone " + std::to_string(w) +
-            " diverges from source parameters before any job ran");
-    if (model != nullptr) {
-      RLATTACK_CHECK(
-          hash_params(pool.workers[w].model->params()) == model_hash,
-          "run_episode_jobs: model clone " + std::to_string(w) +
-              " diverges from source parameters before any job ran");
-    }
-  }
-}
 
 std::vector<std::uint64_t> checked_stream_hashes(
     const std::vector<EpisodeJob>& jobs) {
@@ -177,7 +51,7 @@ std::vector<std::uint64_t> checked_stream_hashes(
 void checked_stream_purity(const EpisodeJob& job, std::size_t index,
                            const std::vector<std::uint64_t>& expected) {
   if constexpr (util::kCheckedBuild) {
-    // Re-derive the job's RNG stream on the worker that will run it: any
+    // Re-derive the job's RNG stream on the host that will run it: any
     // seed-plumbing or shared-state bug that makes the stream depend on
     // *which* thread executes the job is caught before the episode
     // contaminates the result vector.
@@ -188,85 +62,27 @@ void checked_stream_purity(const EpisodeJob& job, std::size_t index,
   }
 }
 
-/// Batched craft substrate: `hosts` plain threads share one planner bound
-/// to the ORIGINAL model. Hosts must NOT be global-pool workers — with a
-/// pool of one thread the first host would block inside the rendezvous
-/// waiting for hosts that never get scheduled. The planner serializes all
-/// model access inside its flush, so the hosts need no model clones; the
-/// inner GEMMs still reach the global pool through its external-submitter
-/// path.
-std::vector<EpisodeOutcome> run_jobs_batched(rl::Agent& victim, env::Game game,
-                                             seq2seq::Seq2SeqModel& model,
-                                             const std::vector<EpisodeJob>& jobs,
-                                             std::size_t hosts) {
-  std::vector<EpisodeOutcome> outcomes(jobs.size());
-  obs::TraceScope trace("episodes.dispatch", "jobs",
-                        static_cast<double>(jobs.size()), "hosts",
-                        static_cast<double>(hosts));
-  WorkerPool& pool = worker_pool();
-  util::MutexLock pool_lock(pool.mu);
-  {
-    obs::TraceScope sync_trace("episodes.sync_workers", "count",
-                               static_cast<double>(hosts));
-    sync_workers_locked(pool, victim, /*model=*/nullptr, hosts);
-  }
-  if constexpr (util::kCheckedBuild)
-    verify_workers_locked(pool, victim, /*model=*/nullptr, hosts);
-  const std::vector<std::uint64_t> expected = checked_stream_hashes(jobs);
+}  // namespace
 
-  // Hoist each host's victim out of the guarded pool while the lock is
-  // held: the host threads below must not touch pool.workers themselves
-  // (they hold no lock — this function holds mu for them until the join).
-  std::vector<rl::Agent*> host_victims(hosts);
-  for (std::size_t h = 0; h < hosts; ++h)
-    host_victims[h] = pool.workers[h].victim.get();
-
-  attack::BatchedCraftPlanner planner(model);
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  {
-    std::vector<std::thread> host_threads;
-    host_threads.reserve(hosts);
-    for (std::size_t h = 0; h < hosts; ++h) {
-      host_threads.emplace_back([&, h] {
-        rl::Agent& host_victim = *host_victims[h];
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= jobs.size()) return;
-          checked_stream_purity(jobs[i], i, expected);
-          outcomes[i] =
-              run_one_job(host_victim, game, model, jobs[i], &planner);
-          completed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& t : host_threads) t.join();
-  }
-  if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(completed.load(std::memory_order_relaxed) == jobs.size(),
-                   "run_episode_jobs: " + std::to_string(completed.load()) +
-                       " of " + std::to_string(jobs.size()) +
-                       " jobs completed — outcome vector has holes");
-  }
-  return outcomes;
-}
-
-/// Episode-batched evaluation: `hosts` plain threads share one planner
-/// bound to the ORIGINAL victim and model — no clones, no worker pool. The
-/// planner's victim handler fuses the concurrent episodes' per-step policy
-/// queries into one act_batch forward, and enrolled episodes' approximator
-/// queries batch through the same rendezvous exactly as run_jobs_batched's
-/// do. All victim and model access happens inside the flush, one thread at
-/// a time; host threads only ever block at the rendezvous.
-std::vector<EpisodeOutcome> run_jobs_eval_batched(
+std::vector<EpisodeOutcome> run_episode_jobs(
     rl::Agent& victim, env::Game game, seq2seq::Seq2SeqModel& model,
-    const std::vector<EpisodeJob>& jobs, std::size_t hosts) {
+    const std::vector<EpisodeJob>& jobs, std::size_t /*threads*/) {
   std::vector<EpisodeOutcome> outcomes(jobs.size());
+  if (jobs.empty()) return outcomes;
+  const std::size_t hosts = episode_hosts(jobs);
+  obs::MetricsRegistry::global()
+      .gauge("experiment.workers")
+      .set(static_cast<double>(hosts));
   obs::TraceScope trace("episodes.dispatch", "jobs",
                         static_cast<double>(jobs.size()), "hosts",
                         static_cast<double>(hosts));
   const std::vector<std::uint64_t> expected = checked_stream_hashes(jobs);
 
+  // One planner bound to the ORIGINAL victim and model: its victim handler
+  // fuses the in-flight episodes' policy queries into one act_batch
+  // forward, and their approximator queries batch through the same
+  // rendezvous. All victim and model access happens inside the flush, one
+  // thread at a time.
   attack::BatchedCraftPlanner planner(model);
   planner.set_victim_handler(
       [&victim](
@@ -280,6 +96,11 @@ std::vector<EpisodeOutcome> run_jobs_eval_batched(
           probes[r]->action = actions[r];
       });
 
+  // Hosts are plain threads, never global-pool workers: with a pool of one
+  // thread, a worker parked in the rendezvous would wait for hosts that
+  // never get scheduled. The GEMMs inside a flush still reach the global
+  // pool through its external-submitter path. Jobs are pulled dynamically
+  // because episode lengths vary widely.
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
   {
@@ -291,7 +112,7 @@ std::vector<EpisodeOutcome> run_jobs_eval_batched(
           const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= jobs.size()) return;
           checked_stream_purity(jobs[i], i, expected);
-          outcomes[i] = run_one_job(victim, game, model, jobs[i], &planner);
+          outcomes[i] = run_one_job(victim, game, model, jobs[i], planner);
           completed.fetch_add(1, std::memory_order_relaxed);
         }
       });
@@ -302,91 +123,6 @@ std::vector<EpisodeOutcome> run_jobs_eval_batched(
     RLATTACK_CHECK(completed.load(std::memory_order_relaxed) == jobs.size(),
                    "run_episode_jobs: " + std::to_string(completed.load()) +
                        " of " + std::to_string(jobs.size()) +
-                       " jobs completed — outcome vector has holes");
-  }
-  return outcomes;
-}
-
-}  // namespace
-
-std::vector<EpisodeOutcome> run_episode_jobs(
-    rl::Agent& victim, env::Game game, seq2seq::Seq2SeqModel& model,
-    const std::vector<EpisodeJob>& jobs, std::size_t threads) {
-  std::vector<EpisodeOutcome> outcomes(jobs.size());
-  if (jobs.empty()) return outcomes;
-
-  const std::size_t eval_hosts = resolve_eval_batch(jobs);
-  if (eval_hosts > 0) {
-    obs::MetricsRegistry::global()
-        .gauge("experiment.workers")
-        .set(static_cast<double>(eval_hosts));
-    return run_jobs_eval_batched(victim, game, model, jobs, eval_hosts);
-  }
-
-  const std::size_t batch_hosts = resolve_craft_batch(jobs);
-  if (batch_hosts > 0) {
-    obs::MetricsRegistry::global()
-        .gauge("experiment.workers")
-        .set(static_cast<double>(batch_hosts));
-    return run_jobs_batched(victim, game, model, jobs, batch_hosts);
-  }
-
-  const std::size_t workers =
-      std::min(threads == 0 ? std::size_t{1} : threads, jobs.size());
-  obs::MetricsRegistry::global()
-      .gauge("experiment.workers")
-      .set(static_cast<double>(workers));
-  if (workers <= 1) {
-    // Historical serial path: original victim/model, no pool dispatch.
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      outcomes[i] = run_one_job(victim, game, model, jobs[i]);
-    return outcomes;
-  }
-
-  // Threaded path: pooled clone pair per worker, jobs pulled dynamically
-  // (episode lengths vary wildly — a successful attack ends CartPole
-  // episodes early — so static slices would load-imbalance).
-  obs::TraceScope trace("episodes.dispatch", "jobs",
-                        static_cast<double>(jobs.size()), "workers",
-                        static_cast<double>(workers));
-  WorkerPool& pool = worker_pool();
-  util::MutexLock pool_lock(pool.mu);
-  {
-    obs::TraceScope sync_trace("episodes.sync_workers", "count",
-                               static_cast<double>(workers));
-    sync_workers_locked(pool, victim, &model, workers);
-  }
-  if constexpr (util::kCheckedBuild)
-    verify_workers_locked(pool, victim, &model, workers);
-  const std::vector<std::uint64_t> expected = checked_stream_hashes(jobs);
-
-  // Hoisted clone pointers, same reasoning as run_jobs_batched: the chunk
-  // workers run without the lock this function keeps held across the join.
-  std::vector<rl::Agent*> worker_victims(workers);
-  std::vector<seq2seq::Seq2SeqModel*> worker_models(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    worker_victims[w] = pool.workers[w].victim.get();
-    worker_models[w] = pool.workers[w].model.get();
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  util::ThreadPool::global().parallel_for_chunks(
-      workers, 1, [&](std::size_t w, std::size_t, std::size_t) {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= jobs.size()) return;
-          checked_stream_purity(jobs[i], i, expected);
-          outcomes[i] =
-              run_one_job(*worker_victims[w], game, *worker_models[w], jobs[i]);
-          completed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-  if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(completed.load(std::memory_order_relaxed) == jobs.size(),
-                   "run_episode_jobs: " +
-                       std::to_string(completed.load()) + " of " +
-                       std::to_string(jobs.size()) +
                        " jobs completed — outcome vector has holes");
   }
   return outcomes;

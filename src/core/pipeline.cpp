@@ -102,31 +102,18 @@ EpisodeOutcome AttackSession::run_episode(
   obs::TraceScope episode_trace("episode.run", "seed",
                                 static_cast<double>(episode_seed));
   const bool forensics = obs::forensics_enabled();
-  // Episode-batched evaluation: when the driver registered a victim
-  // handler, every per-step victim query is routed through the rendezvous
-  // so B concurrent episodes' rows fuse into one act_batch forward.
-  const bool victim_batched =
-      planner != nullptr && planner->has_victim_handler();
-  // Enroll in the rendezvous only if this episode can ever query through
-  // it — with craft batching alone that means the approximator (clean runs
-  // and model-free attacks would just stall the other participants'
-  // flushes); with a victim handler every episode queries the victim every
-  // step, so every episode enrolls. The forensics stream probes the model
-  // every eligible step (prediction agreement), so with it on every episode
-  // enrolls too: the shared model may only be touched through the
-  // rendezvous.
+  // With a planner, every victim and approximator query of this episode
+  // goes through its rendezvous, so concurrent episodes' rows fuse into
+  // shared forwards. The victim is queried every step, so the episode
+  // stays enrolled until it ends.
   std::optional<attack::BatchedCraftPlanner::Participant> participant;
-  if (planner != nullptr &&
-      (victim_batched ||
-       (policy.mode != AttackPolicy::Mode::kNone && attack_.uses_model()) ||
-       forensics))
-    participant.emplace(*planner);
+  if (planner != nullptr) participant.emplace(*planner);
   // Victim policy query: serial single-row act(), or one EvalProbe through
   // the rendezvous. Takes the observation by value — the row must outlive
   // the blocking submit, and the serial path's act() copies it into the
   // agent's scratch row anyway.
   const auto victim_act = [&](nn::Tensor observation) -> std::size_t {
-    if (!victim_batched) return victim_.act(observation, false);
+    if (planner == nullptr) return victim_.act(observation, false);
     attack::BatchedCraftPlanner::EvalProbe probe;
     probe.observation = &observation;
     planner->submit(probe);
@@ -185,16 +172,16 @@ EpisodeOutcome AttackSession::run_episode(
     std::vector<std::size_t> predicted_vec;
     // One craft context per step that needs the model: the history encoding
     // built for the forensics prediction / runner-up target selection below
-    // is reused by every iteration of the attack itself. Enrolled episodes
-    // craft through the planner so the encoding and every tail query batch
-    // across sessions. With forensics off this constructs exactly when it
-    // used to (attacked steps only).
+    // is reused by every iteration of the attack itself. With a planner the
+    // context crafts through it, so the encoding and every tail query batch
+    // across sessions. With forensics off this constructs on attacked steps
+    // only.
     std::optional<attack::CraftInputs> inputs_storage;
     std::optional<attack::CraftContext> ctx_storage;
     if (attack_now || (forensics && eligible)) {
       inputs_storage.emplace(
           fifo.crafting_inputs(frame.reshaped({frame_size_})));
-      if (participant.has_value())
+      if (planner != nullptr)
         ctx_storage.emplace(*planner, *inputs_storage);
       else
         ctx_storage.emplace(model_, *inputs_storage);
@@ -294,14 +281,6 @@ EpisodeOutcome AttackSession::run_episode(
       if (policy.mode == AttackPolicy::Mode::kSingleStep) {
         single_fired = true;
         outcome.fired_step = outcome.steps;
-        // No further attack queries can come from this episode; leave the
-        // rendezvous so the remaining participants' flushes stop waiting.
-        // Unless forensics is on (its per-step prediction probes keep
-        // coming) or the victim is batched (every remaining step still
-        // queries the victim through the rendezvous) — an unenrolled probe
-        // would trip the planner's checks.
-        if (participant.has_value() && !forensics && !victim_batched)
-          participant->retire();
       }
     }
 

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "rlattack/core/parallel_episodes.hpp"
 #include "rlattack/nn/serialize.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/rl/factory.hpp"
@@ -13,10 +12,23 @@
 #include "rlattack/util/env.hpp"
 #include "rlattack/util/log.hpp"
 #include "rlattack/util/stats.hpp"
+#include "rlattack/util/thread_pool.hpp"
 
 namespace rlattack::core {
 
 namespace {
+
+/// Episode-worker count of the Zoo's evaluation and observation loops:
+/// `requested` > 0 wins, then RLATTACK_EXPERIMENT_THREADS (a positive
+/// integer), then the global thread-pool size.
+std::size_t resolve_experiment_threads(std::size_t requested) {
+  if (requested > 0) return requested;
+  if (const std::optional<long> v =
+          util::env::get_long(util::env::Var::kExperimentThreads);
+      v && *v > 0)
+    return static_cast<std::size_t>(*v);
+  return util::ThreadPool::global().size();
+}
 
 std::size_t scaled(std::size_t base, double scale) {
   return std::max<std::size_t>(

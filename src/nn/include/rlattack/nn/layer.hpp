@@ -83,12 +83,6 @@ using LayerPtr = std::unique_ptr<Layer>;
 /// factory). Used for DQN target-network sync.
 void copy_parameters(Layer& dst, Layer& src);
 
-/// Same over explicit parameter sets (multi-input models such as the
-/// seq2seq approximator, whose parameters span several Sequentials). Used
-/// by the clone() methods behind episode-parallel experiment execution.
-void copy_parameters(const std::vector<Param>& dst,
-                     const std::vector<Param>& src);
-
 /// Polyak/soft update: dst <- (1 - tau) * dst + tau * src.
 void soft_update_parameters(Layer& dst, Layer& src, float tau);
 

@@ -28,18 +28,6 @@ void copy_parameters(Layer& dst, Layer& src) {
   }
 }
 
-void copy_parameters(const std::vector<Param>& dst,
-                     const std::vector<Param>& src) {
-  if (dst.size() != src.size())
-    throw std::logic_error("copy_parameters: parameter count mismatch");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    if (!dst[i].value->same_shape(*src[i].value))
-      throw std::logic_error("copy_parameters: shape mismatch at " +
-                             dst[i].name);
-    *dst[i].value = *src[i].value;
-  }
-}
-
 void soft_update_parameters(Layer& dst, Layer& src, float tau) {
   auto d = dst.params();
   auto s = src.params();

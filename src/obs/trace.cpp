@@ -188,18 +188,25 @@ std::vector<TraceEvent> TraceLog::events() const {
     all.insert(all.end(), part.begin(), part.end());
   }
   // Deterministic order for a scripted sequence: emit time, then thread,
-  // then phase/name/duration as tie-breakers.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
-                     if (a.tid != b.tid) return a.tid < b.tid;
-                     if (a.phase != b.phase) return a.phase < b.phase;
-                     const int names =
-                         std::strcmp(a.name ? a.name : "", b.name ? b.name : "");
+  // then phase/name/duration as tie-breakers. The sort moves pointers, not
+  // events: std::stable_sort's temporary buffer ignores alignas(64), so
+  // sorting TraceEvents in place would construct them misaligned.
+  std::vector<const TraceEvent*> order(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) order[i] = &all[i];
+  std::stable_sort(order.begin(), order.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     if (a->ts_ns != b->ts_ns) return a->ts_ns < b->ts_ns;
+                     if (a->tid != b->tid) return a->tid < b->tid;
+                     if (a->phase != b->phase) return a->phase < b->phase;
+                     const int names = std::strcmp(a->name ? a->name : "",
+                                                   b->name ? b->name : "");
                      if (names != 0) return names < 0;
-                     return a.dur_ns < b.dur_ns;
+                     return a->dur_ns < b->dur_ns;
                    });
-  return all;
+  std::vector<TraceEvent> sorted;
+  sorted.reserve(all.size());
+  for (const TraceEvent* ev : order) sorted.push_back(*ev);
+  return sorted;
 }
 
 std::uint64_t TraceLog::dropped() const noexcept {

@@ -1,22 +1,9 @@
 #include "rlattack/rl/agent.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace rlattack::rl {
-
-namespace {
-std::atomic<std::uint64_t> g_agent_constructions{0};
-}  // namespace
-
-Agent::Agent() {
-  g_agent_constructions.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t agent_constructions() noexcept {
-  return g_agent_constructions.load(std::memory_order_relaxed);
-}
 
 std::vector<std::size_t> Agent::act_batch(const nn::Tensor& observations,
                                           bool explore) {

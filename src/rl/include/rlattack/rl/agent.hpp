@@ -19,7 +19,7 @@ namespace rlattack::rl {
 class Agent {
  public:
   virtual ~Agent() = default;
-  Agent();
+  Agent() = default;
   Agent(const Agent&) = delete;
   Agent& operator=(const Agent&) = delete;
 
@@ -71,21 +71,15 @@ class Agent {
   /// In-place re-synchronisation of an existing evaluation clone with
   /// `src`: copies the live network parameters (and whatever extra state
   /// `clone()` would carry, e.g. the Q target network) without allocating a
-  /// new agent. Persistent worker pools use this to reuse one clone per
-  /// worker across experiment invocations instead of reconstructing
-  /// networks per episode batch. Throws std::logic_error if `src` has a
-  /// different algorithm or action count. The base implementation copies
-  /// `network()` parameters only; subclasses override to carry their extra
-  /// clone()-visible state.
+  /// new agent. Callers that keep one evaluation agent across runs use
+  /// this instead of reconstructing its networks. Throws std::logic_error
+  /// if `src` has a different algorithm or action count. The base
+  /// implementation copies `network()` parameters only; subclasses
+  /// override to carry their extra clone()-visible state.
   virtual void reset_from(const Agent& src);
 };
 
 using AgentPtr = std::unique_ptr<Agent>;
-
-/// Total Agent constructions since process start (any subclass). Pinning
-/// tests use deltas of this to assert pooled evaluation paths stop cloning
-/// once warm.
-std::uint64_t agent_constructions() noexcept;
 
 /// Algorithm identifiers matching the paper's three victim trainers.
 enum class Algorithm { kDqn, kA2c, kRainbow };

@@ -183,23 +183,6 @@ class Seq2SeqModel {
 
   void zero_grad();
 
-  /// Deep copy with identical architecture and weights: rebuilds from the
-  /// original (config, seed) and copies every parameter tensor across, so a
-  /// clone's forward/backward is bit-identical to the source's. Forward
-  /// caches start empty — one clone per episode worker makes concurrent
-  /// attack crafting safe (forward/backward mutate internal caches).
-  std::unique_ptr<Seq2SeqModel> clone();
-
-  /// Re-synchronises this instance with `src` (same config) by copying
-  /// parameter tensors in place and dropping any active forward cache —
-  /// no layer reconstruction, no heap allocation. The worker-pool
-  /// counterpart of clone(): clone once, reset_from per run.
-  void reset_from(const Seq2SeqModel& src);
-
-  /// Process-wide count of Seq2SeqModel constructions (clones included).
-  /// The worker-pool pinning test asserts this stays flat across warm runs.
-  static std::uint64_t constructions() noexcept;
-
   const Seq2SeqConfig& config() const noexcept { return config_; }
 
  private:
@@ -236,7 +219,6 @@ class Seq2SeqModel {
                                     nn::Tensor* grad_keys);
 
   Seq2SeqConfig config_;
-  std::uint64_t seed_ = 0;       ///< construction seed, reused by clone()
   nn::Sequential action_head_;   // [B, n, A] -> [B, E]
   nn::Sequential obs_head_;      // [B, n, F] -> [B, E]  (pooling decoder)
   nn::Sequential current_head_;  // [B, F]    -> [B, E]

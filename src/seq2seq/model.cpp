@@ -28,8 +28,6 @@ std::atomic<bool> g_attention_gemm = [] {
   return !util::env::is_zero(util::env::Var::kAttnGemm);
 }();
 
-std::atomic<std::uint64_t> g_model_constructions{0};
-
 }  // namespace
 
 bool attention_gemm_enabled() noexcept {
@@ -65,13 +63,8 @@ std::size_t append_frame_conv(nn::Sequential& net,
 
 }  // namespace
 
-std::uint64_t Seq2SeqModel::constructions() noexcept {
-  return g_model_constructions.load(std::memory_order_relaxed);
-}
-
 Seq2SeqModel::Seq2SeqModel(Seq2SeqConfig config, std::uint64_t seed)
-    : config_(config), seed_(seed) {
-  g_model_constructions.fetch_add(1, std::memory_order_relaxed);
+    : config_(config) {
   if (config_.actions == 0) throw std::logic_error("Seq2SeqModel: no actions");
   if (config_.input_steps == 0 || config_.output_steps == 0)
     throw std::logic_error("Seq2SeqModel: zero sequence length");
@@ -584,8 +577,8 @@ nn::Tensor Seq2SeqModel::forward_cached(const HistoryEncoding& cache,
       rlattack::obs::MetricsRegistry::global().span("seq2seq.forward_cached");
   rlattack::obs::Span span(span_stat);
   if constexpr (util::kCheckedBuild) {
-    // Stale-cache detection: the encoding must come from *this* model (a
-    // clone's weights may since have diverged) and describe the same batch
+    // Stale-cache detection: the encoding must come from *this* model
+    // (another instance's weights may differ) and describe the same batch
     // and history length the craft is about to query.
     RLATTACK_CHECK(cache.owner == this,
                    "Seq2SeqModel::forward_cached: encoding from a different "
@@ -830,24 +823,6 @@ nn::Tensor Seq2SeqModel::backward_to_current_batch(
   return grad_current;
 }
 
-void Seq2SeqModel::reset_from(const Seq2SeqModel& src) {
-  if (config_.use_attention != src.config_.use_attention ||
-      config_.input_steps != src.config_.input_steps ||
-      config_.output_steps != src.config_.output_steps ||
-      config_.actions != src.config_.actions ||
-      config_.embed != src.config_.embed ||
-      config_.lstm_hidden != src.config_.lstm_hidden ||
-      config_.frame_shape != src.config_.frame_shape)
-    throw std::logic_error("Seq2SeqModel::reset_from: config mismatch");
-  // params() is logically const: it lazily builds views over member tensors
-  // without changing observable model state.
-  auto& mutable_src = const_cast<Seq2SeqModel&>(src);  // NOLINT
-  nn::copy_parameters(params(), mutable_src.params());
-  active_cache_ = nullptr;
-  active_batch_ = 0;
-  seed_ = src.seed_;  // clones of a reset worker rebuild like the source
-}
-
 const std::vector<nn::Param>& Seq2SeqModel::params() {
   if (!params_cache_.empty()) return params_cache_;
   // Built once: the layer topology is fixed after construction, and the
@@ -879,12 +854,6 @@ const std::vector<nn::Param>& Seq2SeqModel::params() {
 
 void Seq2SeqModel::zero_grad() {
   for (const nn::Param& p : params()) p.grad->zero();
-}
-
-std::unique_ptr<Seq2SeqModel> Seq2SeqModel::clone() {
-  auto copy = std::make_unique<Seq2SeqModel>(config_, seed_);
-  nn::copy_parameters(copy->params(), params());
-  return copy;
 }
 
 Seq2SeqConfig make_cartpole_seq2seq_config(std::size_t input_steps,

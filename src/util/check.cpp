@@ -1,6 +1,5 @@
 #include "rlattack/util/check.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "rlattack/util/rng.hpp"
@@ -36,20 +35,6 @@ std::string shape_string(const std::vector<std::size_t>& shape) {
   }
   out += "]";
   return out;
-}
-
-std::uint64_t hash_floats(std::span<const float> values) noexcept {
-  // FNV-1a over the IEEE-754 bit patterns: order-sensitive and exact, so
-  // the hash distinguishes even single-ULP drift between two streams.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const float v : values) {
-    const auto bits = std::bit_cast<std::uint32_t>(v);
-    for (int shift = 0; shift < 32; shift += 8) {
-      h ^= (bits >> shift) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
 }
 
 std::uint64_t hash_rng_stream(std::uint64_t seed, std::size_t draws) noexcept {

@@ -64,13 +64,9 @@ bool all_finite(std::span<const float> values) noexcept;
 /// without depending on the nn library).
 std::string shape_string(const std::vector<std::size_t>& shape);
 
-/// Order-sensitive 64-bit FNV-1a hash over the raw float bit patterns.
-/// Bit-identical tensors hash equal; any single-ULP divergence does not.
-std::uint64_t hash_floats(std::span<const float> values) noexcept;
-
 /// Hash of the first `draws` outputs of an Rng seeded with `seed`. Used by
-/// the episode-parallel driver to cross-check that per-job RNG streams are
-/// pure functions of the job seed regardless of which worker runs the job.
+/// the episode driver to cross-check that per-job RNG streams are pure
+/// functions of the job seed regardless of which host runs the job.
 std::uint64_t hash_rng_stream(std::uint64_t seed, std::size_t draws) noexcept;
 
 }  // namespace rlattack::util

@@ -37,7 +37,8 @@ namespace rlattack::util::env {
     "worker count of util::ThreadPool::global(); default "                     \
     "hardware_concurrency")                                                    \
   X(kExperimentThreads, "RLATTACK_EXPERIMENT_THREADS",                         \
-    "episode-worker count of the experiment drivers; default: pool size")      \
+    "episode-worker count of the Zoo's evaluation and observation loops; "     \
+    "default: pool size")                                                      \
   X(kLogLevel, "RLATTACK_LOG_LEVEL",                                           \
     "startup log level: debug|info|warn|error or 0-3; default info")           \
   X(kSimd, "RLATTACK_SIMD",                                                    \
@@ -48,18 +49,8 @@ namespace rlattack::util::env {
     "off|0|false disables telemetry recording at startup")                     \
   X(kMetricsOut, "RLATTACK_METRICS_OUT",                                       \
     "path for the process-exit METRICS JSON export")                           \
-  X(kCraftCache, "RLATTACK_CRAFT_CACHE",                                       \
-    "0 disables the craft-context history-encoding cache")                     \
-  X(kCraftBatch, "RLATTACK_CRAFT_BATCH",                                       \
-    "0 disables the batched craft substrate; an integer > 1 sets the "         \
-    "flush width (default 32)")                                                \
-  X(kEvalBatch, "RLATTACK_EVAL_BATCH",                                         \
-    "0 disables the episode-batched evaluation substrate; an integer > 1 "     \
-    "sets the rendezvous width (default 32)")                                  \
   X(kBenchScale, "RLATTACK_BENCH_SCALE",                                       \
     "multiplier on bench grid sizes (episodes/epochs); default 1.0")           \
-  X(kBenchCompare, "RLATTACK_BENCH_COMPARE",                                   \
-    "run_benches.sh only: 1 re-runs each binary and compares rows")            \
   X(kTrace, "RLATTACK_TRACE",                                                  \
     "1 enables the event-tracing layer (timeline ring buffers) at startup")    \
   X(kTraceOut, "RLATTACK_TRACE_OUT",                                           \
@@ -105,8 +96,8 @@ std::optional<long> get_long(Var v) noexcept;
 /// Strictly parsed double: the full value must parse, otherwise nullopt.
 std::optional<double> get_double(Var v) noexcept;
 
-/// Shared "kill switch" idiom: true iff the value is exactly "0". Several
-/// knobs (craft cache, attention GEMM) are on unless explicitly zeroed.
+/// "Kill switch" idiom: true iff the value is exactly "0". The attention
+/// GEMM knob is on unless explicitly zeroed.
 bool is_zero(Var v) noexcept;
 
 }  // namespace rlattack::util::env

@@ -1,8 +1,8 @@
 // Clang Thread Safety Analysis surface for the whole concurrency substrate.
 //
 // Every mutex-owning type in the tree (util::ThreadPool, util::log,
-// obs::MetricsRegistry, attack::BatchedCraftPlanner, the episode worker
-// pool) declares its lock-ordering protocol through these macros so
+// obs::MetricsRegistry, attack::BatchedCraftPlanner) declares its
+// lock-ordering protocol through these macros so
 // `-Wthread-safety -Werror` (run_checks.sh config "tsa") proves lock
 // discipline on every compile — including protocols the sanitizer matrix
 // can only validate on the interleavings a test happens to execute, such as

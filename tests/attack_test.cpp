@@ -357,53 +357,54 @@ TEST(Attack, PredictActionsShape) {
   for (std::size_t a : actions) EXPECT_LT(a, 2u);
 }
 
-/// Restores the process-wide craft-cache flag on scope exit so a failing
-/// assertion can't leak a disabled cache into later tests.
-class CraftCacheGuard {
- public:
-  CraftCacheGuard() : saved_(craft_cache_enabled()) {}
-  ~CraftCacheGuard() { set_craft_cache_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 TEST(Attack, CraftContextMatchesFreeHelpersBitExactly) {
-  CraftCacheGuard guard;
-  set_craft_cache_enabled(true);
+  // One context answers all four queries at several distinct s_t rows.
+  // Every answer after the first is served from the history encoding the
+  // first query built, and each must equal the full-path free helper's
+  // bits at the same row.
   auto model = trained_toy_model(/*m=*/2);
   util::Rng rng(21);
   CraftInputs inputs = toy_inputs(rng);
   CraftContext ctx(*model, inputs);
+  const std::vector<nn::Tensor> rows = {inputs.current_obs,
+                                        random_tensor({1, 4}, rng),
+                                        random_tensor({1, 4}, rng)};
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const nn::Tensor& obs = rows[r];
+    EXPECT_EQ(ctx.predict_actions(), predict_actions(*model, inputs))
+        << "row " << r;
+    for (std::size_t position = 0; position < 2; ++position) {
+      const auto cached_row = ctx.position_logits(position, obs);
+      const auto full_row = position_logits(*model, inputs, position, obs);
+      ASSERT_EQ(cached_row.size(), full_row.size());
+      for (std::size_t i = 0; i < full_row.size(); ++i)
+        EXPECT_EQ(cached_row[i], full_row[i])
+            << "row " << r << " position " << position << " logit " << i;
 
-  EXPECT_EQ(ctx.predict_actions(), predict_actions(*model, inputs));
-  const auto cached_row = ctx.position_logits(1, inputs.current_obs);
-  const auto full_row = position_logits(*model, inputs, 1, inputs.current_obs);
-  ASSERT_EQ(cached_row.size(), full_row.size());
-  for (std::size_t i = 0; i < full_row.size(); ++i)
-    EXPECT_EQ(cached_row[i], full_row[i]) << "logit " << i;
+      const std::size_t action = (r + position) % 2;
+      nn::Tensor cached_ce = ctx.current_obs_gradient(position, action, obs);
+      nn::Tensor full_ce =
+          current_obs_gradient(*model, inputs, position, action, obs);
+      ASSERT_TRUE(cached_ce.same_shape(full_ce));
+      for (std::size_t i = 0; i < full_ce.size(); ++i)
+        EXPECT_EQ(cached_ce[i], full_ce[i])
+            << "row " << r << " position " << position << " CE grad " << i;
 
-  nn::Tensor cached_ce = ctx.current_obs_gradient(0, 1, inputs.current_obs);
-  nn::Tensor full_ce =
-      current_obs_gradient(*model, inputs, 0, 1, inputs.current_obs);
-  ASSERT_TRUE(cached_ce.same_shape(full_ce));
-  for (std::size_t i = 0; i < full_ce.size(); ++i)
-    EXPECT_EQ(cached_ce[i], full_ce[i]) << "CE grad " << i;
-
-  nn::Tensor cached_diff = ctx.logit_diff_gradient(0, 0, 1, inputs.current_obs);
-  nn::Tensor full_diff =
-      logit_diff_gradient(*model, inputs, 0, 0, 1, inputs.current_obs);
-  ASSERT_TRUE(cached_diff.same_shape(full_diff));
-  for (std::size_t i = 0; i < full_diff.size(); ++i)
-    EXPECT_EQ(cached_diff[i], full_diff[i]) << "diff grad " << i;
+      nn::Tensor cached_diff = ctx.logit_diff_gradient(position, 0, 1, obs);
+      nn::Tensor full_diff =
+          logit_diff_gradient(*model, inputs, position, 0, 1, obs);
+      ASSERT_TRUE(cached_diff.same_shape(full_diff));
+      for (std::size_t i = 0; i < full_diff.size(); ++i)
+        EXPECT_EQ(cached_diff[i], full_diff[i])
+            << "row " << r << " position " << position << " diff grad " << i;
+    }
+  }
 }
 
 TEST(Attack, AnchoredGradientFusedProbeMatchesSeparateQueriesBitExactly) {
   // A single-participant planner flushes inline on every submit, so the
   // fused kAnchorGradient probe can be exercised synchronously and compared
   // against a fresh context asking predict + gradient separately.
-  CraftCacheGuard guard;
-  set_craft_cache_enabled(true);
   auto model = trained_toy_model(/*m=*/2);
   util::Rng rng(23);
   CraftInputs inputs = toy_inputs(rng);
@@ -432,37 +433,6 @@ TEST(Attack, AnchoredGradientFusedProbeMatchesSeparateQueriesBitExactly) {
   CraftContext unfused(*model, inputs);
   EXPECT_THROW(unfused.anchored_gradient(2, inputs.current_obs),
                std::logic_error);
-}
-
-TEST(Attack, EveryAttackBitIdenticalWithCacheOnAndOff) {
-  // The uncached path is the parity oracle: every built-in attack must emit
-  // the exact same bytes whether crafting runs cached or not.
-  CraftCacheGuard guard;
-  auto model = trained_toy_model(/*m=*/2);
-  util::Rng rng(22);
-  CraftInputs inputs = toy_inputs(rng);
-  for (Kind kind :
-       {Kind::kGaussian, Kind::kFgsm, Kind::kPgd, Kind::kCw, Kind::kJsma}) {
-    for (auto norm : {Budget::Norm::kL2, Budget::Norm::kLinf}) {
-      Budget budget{norm, 0.5f};
-      env::ObservationBounds bounds{-10.0f, 10.0f};
-      Goal goal;
-      goal.position = 1;
-      AttackPtr attack = make_attack(kind);
-      set_craft_cache_enabled(true);
-      util::Rng rng_on(7);
-      nn::Tensor on =
-          attack->perturb(*model, inputs, goal, budget, bounds, rng_on);
-      set_craft_cache_enabled(false);
-      util::Rng rng_off(7);
-      nn::Tensor off =
-          attack->perturb(*model, inputs, goal, budget, bounds, rng_off);
-      ASSERT_TRUE(on.same_shape(off));
-      for (std::size_t i = 0; i < on.size(); ++i)
-        ASSERT_EQ(on[i], off[i])
-            << attack_name(kind) << " diverges at element " << i;
-    }
-  }
 }
 
 }  // namespace

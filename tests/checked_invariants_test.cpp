@@ -453,16 +453,6 @@ TEST(CheckedInvariantsTest, RngStreamHashIsPureFunctionOfSeed) {
   EXPECT_NE(util::hash_rng_stream(42, 32), util::hash_rng_stream(42, 33));
 }
 
-TEST(CheckedInvariantsTest, FloatHashIsOrderAndBitSensitive) {
-  const std::vector<float> a{1.0f, 2.0f, 3.0f};
-  const std::vector<float> b{1.0f, 3.0f, 2.0f};
-  std::vector<float> c = a;
-  c[2] = std::nextafter(c[2], 4.0f);
-  EXPECT_EQ(util::hash_floats(a), util::hash_floats(a));
-  EXPECT_NE(util::hash_floats(a), util::hash_floats(b));
-  EXPECT_NE(util::hash_floats(a), util::hash_floats(c));
-}
-
 TEST(CheckedInvariantsTest, CheckFailureCarriesFileAndLine) {
   try {
     util::check_failed("somefile.cpp", 123, "boom");

@@ -1,13 +1,16 @@
-// Determinism contract of the episode-parallel experiment layer: every
-// driver must produce bit-identical result rows at experiment_threads = 1
-// (the historical serial path: original victim/model, no pool dispatch)
-// and = 4 (cloned workers pulling jobs from the global pool). Registered
-// with CTest twice — RLATTACK_THREADS=1 and =4 — like kernels_test, so the
-// comparison runs both with a serial pool (clone/index bookkeeping only)
-// and with real concurrent workers.
+// Determinism contract of the episode driver and the experiment drivers
+// built on it. run_episode_jobs runs every job list through one rendezvous
+// that batches the in-flight episodes' victim and approximator queries; the
+// SerialOracle* tests compare its outcomes, bit for bit, with a plain loop
+// over AttackSession::run_episode with no planner — the single-row path
+// the CLI and a one-attacker run take. Registered with CTest twice —
+// RLATTACK_THREADS=1 and =4 — like kernels_test, so every comparison runs
+// both with a serial pool and with a 4-worker pool under the flushes'
+// GEMMs.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <filesystem>
 
 #include "rlattack/attack/batch_planner.hpp"
@@ -62,26 +65,27 @@ TEST_F(ExperimentsParallelTest, RewardExperimentBitIdenticalAcrossThreads) {
   cfg.runs = 3;
   cfg.seed = 1000;
 
-  zoo.set_experiment_threads(1);
-  ExperimentTiming serial_timing;
-  const auto serial = run_reward_experiment(zoo, cfg, &serial_timing);
-  zoo.set_experiment_threads(4);
-  ExperimentTiming parallel_timing;
-  const auto parallel = run_reward_experiment(zoo, cfg, &parallel_timing);
+  // Two runs through the rendezvous, whose flushes interleave the episodes
+  // differently from run to run, must agree bit for bit.
+  ExperimentTiming first_timing;
+  const auto first = run_reward_experiment(zoo, cfg, &first_timing);
+  ExperimentTiming second_timing;
+  const auto second = run_reward_experiment(zoo, cfg, &second_timing);
 
-  EXPECT_EQ(serial_timing.threads, 1u);
-  EXPECT_EQ(parallel_timing.threads, 4u);
-  EXPECT_EQ(parallel_timing.episodes, 2u * 2u * 3u);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].attack, parallel[i].attack) << "row " << i;
-    EXPECT_EQ(serial[i].l2_budget, parallel[i].l2_budget) << "row " << i;
-    EXPECT_EQ(serial[i].mean_reward, parallel[i].mean_reward) << "row " << i;
-    EXPECT_EQ(serial[i].stddev_reward, parallel[i].stddev_reward)
+  // One host per job: the 12 jobs are fewer than the rendezvous width.
+  EXPECT_EQ(first_timing.hosts, 12u);
+  EXPECT_EQ(second_timing.hosts, 12u);
+  EXPECT_EQ(second_timing.episodes, 2u * 2u * 3u);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].attack, second[i].attack) << "row " << i;
+    EXPECT_EQ(first[i].l2_budget, second[i].l2_budget) << "row " << i;
+    EXPECT_EQ(first[i].mean_reward, second[i].mean_reward) << "row " << i;
+    EXPECT_EQ(first[i].stddev_reward, second[i].stddev_reward)
         << "row " << i;
-    EXPECT_EQ(serial[i].mean_realised_l2, parallel[i].mean_realised_l2)
+    EXPECT_EQ(first[i].mean_realised_l2, second[i].mean_realised_l2)
         << "row " << i;
-    EXPECT_EQ(serial[i].sequence_variant, parallel[i].sequence_variant)
+    EXPECT_EQ(first[i].sequence_variant, second[i].sequence_variant)
         << "row " << i;
   }
 }
@@ -97,18 +101,16 @@ TEST_F(ExperimentsParallelTest,
   cfg.runs = 3;
   cfg.seed = 2000;
 
-  zoo.set_experiment_threads(1);
-  const auto serial = run_transferability_experiment(zoo, cfg);
-  zoo.set_experiment_threads(4);
-  const auto parallel = run_transferability_experiment(zoo, cfg);
+  const auto first = run_transferability_experiment(zoo, cfg);
+  const auto second = run_transferability_experiment(zoo, cfg);
 
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].attack, parallel[i].attack) << "row " << i;
-    EXPECT_EQ(serial[i].l2_budget, parallel[i].l2_budget) << "row " << i;
-    EXPECT_EQ(serial[i].transfer_rate, parallel[i].transfer_rate)
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].attack, second[i].attack) << "row " << i;
+    EXPECT_EQ(first[i].l2_budget, second[i].l2_budget) << "row " << i;
+    EXPECT_EQ(first[i].transfer_rate, second[i].transfer_rate)
         << "row " << i;
-    EXPECT_EQ(serial[i].samples, parallel[i].samples) << "row " << i;
+    EXPECT_EQ(first[i].samples, second[i].samples) << "row " << i;
   }
 }
 
@@ -133,19 +135,18 @@ TEST_F(ExperimentsParallelTest, TimebombExperimentBitIdenticalAcrossThreads) {
   cfg.runs = 3;
   cfg.seed = 3000;
 
-  zoo.set_experiment_threads(1);
-  const auto serial = run_timebomb_experiment(zoo, cfg);
-  zoo.set_experiment_threads(4);
+  const auto first = run_timebomb_experiment(zoo, cfg);
   ExperimentTiming timing;
-  const auto parallel = run_timebomb_experiment(zoo, cfg, &timing);
+  const auto second = run_timebomb_experiment(zoo, cfg, &timing);
 
   // 3 delays x 3 runs x (clean + attacked) episodes.
   EXPECT_EQ(timing.episodes, 3u * 3u * 2u);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].delay, parallel[i].delay) << "row " << i;
-    EXPECT_EQ(serial[i].trials, parallel[i].trials) << "row " << i;
-    EXPECT_EQ(serial[i].success_rate, parallel[i].success_rate)
+  EXPECT_EQ(timing.hosts, 3u * 3u * 2u);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].delay, second[i].delay) << "row " << i;
+    EXPECT_EQ(first[i].trials, second[i].trials) << "row " << i;
+    EXPECT_EQ(first[i].success_rate, second[i].success_rate)
         << "row " << i;
   }
 }
@@ -187,7 +188,8 @@ TEST_F(ExperimentsParallelTest, ZooEpisodeLoopsBitIdenticalAcrossThreads) {
   }
 }
 
-TEST_F(ExperimentsParallelTest, CloneContractHoldsForAgentsAndModel) {
+TEST_F(ExperimentsParallelTest, CloneContractHoldsForAgents) {
+  // The Zoo loops run each worker's episodes on a victim clone.
   Zoo zoo = make_tiny_zoo();
   rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
   rl::AgentPtr copy = victim.clone();
@@ -195,29 +197,11 @@ TEST_F(ExperimentsParallelTest, CloneContractHoldsForAgentsAndModel) {
   EXPECT_EQ(copy->action_count(), victim.action_count());
   EXPECT_EQ(copy->algorithm(), victim.algorithm());
   EXPECT_EQ(copy->act(probe, false), victim.act(probe, false));
-
-  ApproximatorInfo approx =
-      zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1);
-  auto model_copy = approx.model->clone();
-  const auto& mc = approx.model->config();
-  nn::Tensor actions({1, mc.input_steps, mc.actions});
-  nn::Tensor history({1, mc.input_steps, mc.frame_size()});
-  nn::Tensor current({1, mc.frame_size()});
-  for (std::size_t i = 0; i < history.size(); ++i)
-    history[i] = 0.01f * static_cast<float>(i % 17);
-  for (std::size_t i = 0; i < current.size(); ++i)
-    current[i] = 0.3f - 0.1f * static_cast<float>(i);
-  nn::Tensor original_out = approx.model->forward(actions, history, current);
-  nn::Tensor clone_out = model_copy->forward(actions, history, current);
-  ASSERT_EQ(original_out.size(), clone_out.size());
-  for (std::size_t i = 0; i < original_out.size(); ++i)
-    ASSERT_EQ(original_out[i], clone_out[i]) << "logit " << i;
 }
 
 // Telemetry must only observe: result rows are bit-identical with metrics
-// enabled and disabled, at both experiment_threads settings. (Registered
-// under RLATTACK_THREADS=1 and =4 like the rest of this suite, so the
-// global-pool dimension is covered too.)
+// enabled and disabled. (Registered under RLATTACK_THREADS=1 and =4 like
+// the rest of this suite, so the global-pool dimension is covered too.)
 TEST_F(ExperimentsParallelTest, MetricsOnOffRowsBitIdentical) {
   const bool saved = obs::metrics_enabled();
   Zoo zoo = make_tiny_zoo();
@@ -229,13 +213,10 @@ TEST_F(ExperimentsParallelTest, MetricsOnOffRowsBitIdentical) {
   cfg.runs = 3;
   cfg.seed = 1000;
 
-  std::vector<std::vector<RewardPoint>> results;  // [on/off][threads 1/4]
+  std::vector<std::vector<RewardPoint>> results;  // [on, off]
   for (bool enabled : {true, false}) {
     obs::set_metrics_enabled(enabled);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      zoo.set_experiment_threads(threads);
-      results.push_back(run_reward_experiment(zoo, cfg, nullptr));
-    }
+    results.push_back(run_reward_experiment(zoo, cfg, nullptr));
   }
   obs::set_metrics_enabled(saved);
 
@@ -258,8 +239,8 @@ TEST_F(ExperimentsParallelTest, MetricsOnOffRowsBitIdentical) {
 }
 
 // The tracing layer has the same only-observe contract as metrics: result
-// rows must be bit-identical with tracing enabled and disabled, at both
-// experiment_threads settings. A disabled TraceScope takes no clock reading;
+// rows must be bit-identical with tracing enabled and disabled. A disabled
+// TraceScope takes no clock reading;
 // an enabled one records wall-clock but must never feed back into RNG,
 // environment or model state.
 TEST_F(ExperimentsParallelTest, TraceOnOffRowsBitIdentical) {
@@ -273,13 +254,10 @@ TEST_F(ExperimentsParallelTest, TraceOnOffRowsBitIdentical) {
   cfg.runs = 3;
   cfg.seed = 1500;
 
-  std::vector<std::vector<RewardPoint>> results;  // [on/off][threads 1/4]
+  std::vector<std::vector<RewardPoint>> results;  // [on, off]
   for (bool enabled : {true, false}) {
     obs::set_trace_enabled(enabled);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      zoo.set_experiment_threads(threads);
-      results.push_back(run_reward_experiment(zoo, cfg, nullptr));
-    }
+    results.push_back(run_reward_experiment(zoo, cfg, nullptr));
   }
   obs::set_trace_enabled(saved);
   // The traced variants actually recorded a timeline (episode.run spans at
@@ -305,246 +283,224 @@ TEST_F(ExperimentsParallelTest, TraceOnOffRowsBitIdentical) {
   }
 }
 
-// The craft-context cache (encode (A_{t-1}, S_{t-1}) once per attack,
-// iterate only the s_t branch) must be invisible in every experiment
-// artefact: all iterative-attack rows are byte-identical with the cache on
-// vs off, at experiment threads 1 and 4. The uncached path is the oracle.
-TEST_F(ExperimentsParallelTest, CraftCacheOnOffRowsBitIdentical) {
-  const bool saved = attack::craft_cache_enabled();
-  Zoo zoo = make_tiny_zoo();
-  RewardExperimentConfig cfg;
-  cfg.game = env::Game::kCartPole;
-  cfg.algorithm = rl::Algorithm::kDqn;
-  // The iterative attacks reuse one encoding the most — PGD/CW/JSMA are
-  // exactly where a cache bug would surface as drifting rows.
-  cfg.attacks = {attack::Kind::kPgd, attack::Kind::kCw, attack::Kind::kJsma};
-  cfg.l2_budgets = {0.0, 0.5};
-  cfg.runs = 3;
-  cfg.seed = 2000;
+// --- Serial oracle --------------------------------------------------------
+//
+// Each job list runs twice: through run_episode_jobs (one rendezvous, up to
+// attack::eval_batch_width() hosts) and as a plain loop of
+// AttackSession::run_episode with no planner. Every EpisodeOutcome field
+// must agree bit for bit.
 
-  std::vector<std::vector<RewardPoint>> results;  // [on/off][threads 1/4]
-  for (bool enabled : {true, false}) {
-    attack::set_craft_cache_enabled(enabled);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      zoo.set_experiment_threads(threads);
-      results.push_back(run_reward_experiment(zoo, cfg, nullptr));
-    }
+std::vector<EpisodeOutcome> run_jobs_serially(
+    rl::Agent& victim, env::Game game, seq2seq::Seq2SeqModel& model,
+    const std::vector<EpisodeJob>& jobs) {
+  std::vector<EpisodeOutcome> outcomes;
+  outcomes.reserve(jobs.size());
+  for (const EpisodeJob& job : jobs) {
+    attack::AttackPtr attacker = attack::make_attack(job.attack);
+    AttackSession session(victim, game, model, *attacker, job.budget);
+    outcomes.push_back(session.run_episode(job.policy, job.seed));
   }
-  attack::set_craft_cache_enabled(saved);
+  return outcomes;
+}
 
-  const auto& reference = results.front();
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    ASSERT_EQ(results[v].size(), reference.size()) << "variant " << v;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(results[v][i].attack, reference[i].attack)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].l2_budget, reference[i].l2_budget)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_reward, reference[i].mean_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].stddev_reward, reference[i].stddev_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_realised_l2, reference[i].mean_realised_l2)
-          << "variant " << v << " row " << i;
-    }
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_outcomes_bit_identical(const std::vector<EpisodeOutcome>& actual,
+                                   const std::vector<EpisodeOutcome>& oracle) {
+  ASSERT_EQ(actual.size(), oracle.size());
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    const EpisodeOutcome& a = actual[i];
+    const EpisodeOutcome& o = oracle[i];
+    EXPECT_EQ(bits(a.total_reward), bits(o.total_reward)) << "job " << i;
+    EXPECT_EQ(a.steps, o.steps) << "job " << i;
+    EXPECT_EQ(a.attacks_attempted, o.attacks_attempted) << "job " << i;
+    EXPECT_EQ(a.immediate_flips, o.immediate_flips) << "job " << i;
+    EXPECT_EQ(a.fired_step, o.fired_step) << "job " << i;
+    EXPECT_EQ(bits(a.mean_l2), bits(o.mean_l2)) << "job " << i;
+    EXPECT_EQ(bits(a.mean_linf), bits(o.mean_linf)) << "job " << i;
+    EXPECT_EQ(a.actions, o.actions) << "job " << i;
   }
 }
 
-// Batched craft substrate on/off parity: routing every concurrent
-// episode's approximator queries through one shared-GEMM planner flush must
-// leave every experiment row bit-identical to the per-episode model path —
-// across thread counts, and regardless of how the rendezvous happened to
-// interleave the probes.
-TEST_F(ExperimentsParallelTest, CraftBatchOnOffRowsBitIdentical) {
-  const bool saved = attack::craft_batch_enabled();
-  Zoo zoo = make_tiny_zoo();
-  RewardExperimentConfig cfg;
-  cfg.game = env::Game::kCartPole;
-  cfg.algorithm = rl::Algorithm::kDqn;
-  // One single-query attack (FGSM), one iterative (PGD) and the
-  // query-free Gaussian control: flushes mix enrolled probe kinds with
-  // episodes that never enroll at all.
-  cfg.attacks = {attack::Kind::kGaussian, attack::Kind::kFgsm,
-                 attack::Kind::kPgd};
-  cfg.l2_budgets = {0.0, 0.5};
-  cfg.runs = 3;
-  cfg.seed = 3000;
-
-  std::vector<std::vector<RewardPoint>> results;  // [on/off][threads 1/4]
-  std::vector<std::size_t> craft_batches;
-  for (bool enabled : {true, false}) {
-    attack::set_craft_batch_enabled(enabled);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      zoo.set_experiment_threads(threads);
-      ExperimentTiming timing;
-      results.push_back(run_reward_experiment(zoo, cfg, &timing));
-      craft_batches.push_back(timing.craft_batch);
-    }
-  }
-  attack::set_craft_batch_enabled(saved);
-
-  // The substrate actually engaged when enabled and stood down when killed.
-  EXPECT_GT(craft_batches[0], 1u);
-  EXPECT_GT(craft_batches[1], 1u);
-  EXPECT_EQ(craft_batches[2], 0u);
-  EXPECT_EQ(craft_batches[3], 0u);
-
-  const auto& reference = results.front();
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    ASSERT_EQ(results[v].size(), reference.size()) << "variant " << v;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(results[v][i].attack, reference[i].attack)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].l2_budget, reference[i].l2_budget)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_reward, reference[i].mean_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].stddev_reward, reference[i].stddev_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_realised_l2, reference[i].mean_realised_l2)
-          << "variant " << v << " row " << i;
-    }
-  }
+/// Runs `jobs` both ways against the same victim and model and compares.
+/// Returns the oracle's outcomes so callers can check the list exercised
+/// what it was built for.
+std::vector<EpisodeOutcome> expect_driver_matches_oracle(
+    rl::Agent& victim, seq2seq::Seq2SeqModel& model,
+    const std::vector<EpisodeJob>& jobs) {
+  const std::vector<EpisodeOutcome> driven =
+      run_episode_jobs(victim, env::Game::kCartPole, model, jobs);
+  const std::vector<EpisodeOutcome> oracle =
+      run_jobs_serially(victim, env::Game::kCartPole, model, jobs);
+  expect_outcomes_bit_identical(driven, oracle);
+  return oracle;
 }
 
-// Episode-batched evaluation on/off parity: fusing every concurrent
-// episode's per-step victim policy query (and its approximator probes) into
-// shared rendezvous forwards must leave every experiment row bit-identical
-// to the single-row paths — at experiment threads 1 and 4. The driver-level
-// timing also has to show the substrate actually engaged when enabled and
-// stood down under the RLATTACK_EVAL_BATCH kill switch.
-TEST_F(ExperimentsParallelTest, EvalBatchOnOffRowsBitIdentical) {
-  const bool saved = attack::eval_batch_enabled();
-  Zoo zoo = make_tiny_zoo();
-  RewardExperimentConfig cfg;
-  cfg.game = env::Game::kCartPole;
-  cfg.algorithm = rl::Algorithm::kDqn;
-  // Query-free Gaussian, single-query FGSM and iterative PGD: the eval
-  // rendezvous must stay bit-identical whether the enrolled episodes also
-  // craft through the planner or only evaluate through it.
-  cfg.attacks = {attack::Kind::kGaussian, attack::Kind::kFgsm,
-                 attack::Kind::kPgd};
-  cfg.l2_budgets = {0.0, 0.5};
-  cfg.runs = 3;
-  cfg.seed = 3000;
-
-  std::vector<std::vector<RewardPoint>> results;  // [on/off][threads 1/4]
-  std::vector<std::size_t> eval_batches;
-  for (bool enabled : {true, false}) {
-    attack::set_eval_batch_enabled(enabled);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      zoo.set_experiment_threads(threads);
-      ExperimentTiming timing;
-      results.push_back(run_reward_experiment(zoo, cfg, &timing));
-      eval_batches.push_back(timing.eval_batch);
+/// Fig 4-6 reward rows: every-step untargeted attacks over an L2 budget
+/// grid; budget-0 rows are clean runs, as in run_reward_experiment.
+std::vector<EpisodeJob> reward_jobs(const std::vector<attack::Kind>& kinds,
+                                    const std::vector<float>& budgets,
+                                    std::size_t runs, std::uint64_t seed,
+                                    bool random_position) {
+  std::vector<EpisodeJob> jobs;
+  for (attack::Kind kind : kinds) {
+    for (float budget : budgets) {
+      EpisodeJob job;
+      job.attack = kind;
+      job.budget = attack::Budget{attack::Budget::Norm::kL2, budget};
+      job.policy.mode = budget > 0.0f ? AttackPolicy::Mode::kEveryStep
+                                      : AttackPolicy::Mode::kNone;
+      job.policy.goal_mode = attack::Goal::Mode::kUntargeted;
+      job.policy.random_position = random_position;
+      for (std::size_t run = 0; run < runs; ++run) {
+        job.seed = seed + run;
+        jobs.push_back(job);
+      }
     }
   }
-  attack::set_eval_batch_enabled(saved);
-
-  // The substrate host count is independent of experiment_threads: the
-  // rendezvous width bounds it, the job count fills it.
-  EXPECT_GT(eval_batches[0], 1u);
-  EXPECT_GT(eval_batches[1], 1u);
-  EXPECT_EQ(eval_batches[2], 0u);
-  EXPECT_EQ(eval_batches[3], 0u);
-
-  const auto& reference = results.front();
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    ASSERT_EQ(results[v].size(), reference.size()) << "variant " << v;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(results[v][i].attack, reference[i].attack)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].l2_budget, reference[i].l2_budget)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_reward, reference[i].mean_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].stddev_reward, reference[i].stddev_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_realised_l2, reference[i].mean_realised_l2)
-          << "variant " << v << " row " << i;
-    }
-  }
+  return jobs;
 }
 
-// Eval-batched forensics attribution: with rows from B concurrent episodes
-// fused into shared forwards, every per-step forensics record must still
-// land on the episode that owns the step, with per-step query deltas
-// unchanged. The serial single-row run is the oracle; the export is sorted
-// by (episode_key, seed, step), so the comparison is byte-exact.
-TEST_F(ExperimentsParallelTest, EvalBatchForensicsAttributionBitIdentical) {
+std::size_t total_attacks(const std::vector<EpisodeOutcome>& outcomes) {
+  std::size_t n = 0;
+  for (const EpisodeOutcome& o : outcomes) n += o.attacks_attempted;
+  return n;
+}
+
+/// An untrained m = 10 CartPole approximator: the parity contract holds for
+/// any weights, and the tiny zoo's traces are too short to train m = 10.
+seq2seq::Seq2SeqModel sequence_model() {
+  return seq2seq::Seq2SeqModel(
+      seq2seq::make_cartpole_seq2seq_config(/*input_steps=*/3,
+                                            /*output_steps=*/10),
+      /*seed=*/31);
+}
+
+TEST_F(ExperimentsParallelTest, SerialOracleRewardSweep) {
   Zoo zoo = make_tiny_zoo();
-  RewardExperimentConfig cfg;
-  cfg.game = env::Game::kCartPole;
-  cfg.algorithm = rl::Algorithm::kDqn;
-  cfg.attacks = {attack::Kind::kFgsm, attack::Kind::kPgd};
-  cfg.l2_budgets = {0.5};
-  cfg.runs = 2;
-  cfg.seed = 5000;
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  ApproximatorInfo approx =
+      zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1);
+  const std::vector<EpisodeJob> jobs = reward_jobs(
+      {attack::Kind::kGaussian, attack::Kind::kFgsm, attack::Kind::kPgd,
+       attack::Kind::kCw, attack::Kind::kJsma},
+      {0.0f, 0.5f}, /*runs=*/2, /*seed=*/6000, /*random_position=*/false);
+  const auto oracle = expect_driver_matches_oracle(victim, *approx.model, jobs);
+  EXPECT_GT(total_attacks(oracle), 0u);
+}
+
+TEST_F(ExperimentsParallelTest, SerialOracleRandomPositionSweep) {
+  Zoo zoo = make_tiny_zoo();
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  seq2seq::Seq2SeqModel model = sequence_model();
+  const std::vector<EpisodeJob> jobs = reward_jobs(
+      {attack::Kind::kFgsm, attack::Kind::kPgd}, {0.0f, 0.5f, 1.0f},
+      /*runs=*/2, /*seed=*/6100, /*random_position=*/true);
+  const auto oracle = expect_driver_matches_oracle(victim, model, jobs);
+  EXPECT_GT(total_attacks(oracle), 0u);
+}
+
+TEST_F(ExperimentsParallelTest, SerialOracleTimeBomb) {
+  // Fig 8-9 pairs: a clean counterfactual and a single-step targeted
+  // runner-up attack of the same seed, adjacent in the list.
+  Zoo zoo = make_tiny_zoo();
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  seq2seq::Seq2SeqModel model = sequence_model();
+  std::vector<EpisodeJob> jobs;
+  for (std::size_t delay : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
+    for (std::size_t run = 0; run < 3; ++run) {
+      EpisodeJob clean;
+      clean.attack = attack::Kind::kFgsm;
+      clean.budget = attack::Budget{attack::Budget::Norm::kLinf, 0.3f};
+      clean.policy.mode = AttackPolicy::Mode::kNone;
+      clean.seed = 6200 + 100 * delay + run;
+      jobs.push_back(clean);
+
+      EpisodeJob bomb = clean;
+      bomb.policy.mode = AttackPolicy::Mode::kSingleStep;
+      bomb.policy.trigger_step = model.config().input_steps + run;
+      bomb.policy.goal_mode = attack::Goal::Mode::kTargeted;
+      bomb.policy.position = delay;
+      bomb.policy.runner_up_target = true;
+      jobs.push_back(bomb);
+    }
+  }
+  const auto oracle = expect_driver_matches_oracle(victim, model, jobs);
+  std::size_t fired = 0;
+  for (const EpisodeOutcome& o : oracle)
+    if (o.fired_step != static_cast<std::size_t>(-1)) ++fired;
+  EXPECT_GT(fired, 0u);
+}
+
+TEST_F(ExperimentsParallelTest, SerialOracleOneJob) {
+  // A one-job list runs through the rendezvous with a single host.
+  Zoo zoo = make_tiny_zoo();
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  ApproximatorInfo approx =
+      zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1);
+  const std::vector<EpisodeJob> jobs =
+      reward_jobs({attack::Kind::kPgd}, {0.5f}, /*runs=*/1, /*seed=*/6300,
+                  /*random_position=*/false);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(episode_hosts(jobs), 1u);
+  const auto oracle = expect_driver_matches_oracle(victim, *approx.model, jobs);
+  EXPECT_GT(total_attacks(oracle), 0u);
+}
+
+TEST_F(ExperimentsParallelTest, SerialOracleMoreJobsThanHosts) {
+  // More jobs than the rendezvous width: hosts pull a second job while
+  // other episodes are still in flight.
+  Zoo zoo = make_tiny_zoo();
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  ApproximatorInfo approx =
+      zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1);
+  const std::vector<EpisodeJob> jobs = reward_jobs(
+      {attack::Kind::kGaussian, attack::Kind::kFgsm}, {0.0f, 0.5f},
+      /*runs=*/10, /*seed=*/6400, /*random_position=*/false);
+  ASSERT_GT(jobs.size(), attack::eval_batch_width());
+  EXPECT_EQ(episode_hosts(jobs), attack::eval_batch_width());
+  const auto oracle = expect_driver_matches_oracle(victim, *approx.model, jobs);
+  EXPECT_GT(total_attacks(oracle), 0u);
+}
+
+// Forensics attribution: with rows from concurrent episodes fused into
+// shared forwards, every per-step forensics record must still land on the
+// episode that owns the step, with per-step query deltas unchanged. The
+// export is sorted by (episode_key, seed, step), so the comparison with
+// the serial oracle's export is byte-exact.
+TEST_F(ExperimentsParallelTest, SerialOracleForensicsAttribution) {
+  Zoo zoo = make_tiny_zoo();
   // Zoo artefacts must exist before forensics turns on: training also steps
   // pipelines and would otherwise pollute the record stream.
-  (void)zoo.victim(cfg.game, cfg.algorithm);
-  (void)zoo.approximator(cfg.game, rl::Algorithm::kDqn, 1);
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  ApproximatorInfo approx =
+      zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1);
+  const std::vector<EpisodeJob> jobs =
+      reward_jobs({attack::Kind::kFgsm, attack::Kind::kPgd}, {0.5f},
+                  /*runs=*/2, /*seed=*/5000, /*random_position=*/false);
 
-  const bool saved_eval = attack::eval_batch_enabled();
   const bool saved_forensics = obs::forensics_enabled();
   obs::forensics_detail::g_forensics_enabled.store(true,
                                                    std::memory_order_relaxed);
-  const auto run_and_export = [&](bool eval_batched, std::size_t threads) {
-    attack::set_eval_batch_enabled(eval_batched);
-    zoo.set_experiment_threads(threads);
+  const auto export_of = [](const auto& run) {
     obs::forensics_reset();
-    (void)run_reward_experiment(zoo, cfg, nullptr);
+    (void)run();
     std::string jsonl = obs::forensics_to_jsonl();
     obs::forensics_reset();
     return jsonl;
   };
-  const std::string serial = run_and_export(false, 1);
-  const std::string batched1 = run_and_export(true, 1);
-  const std::string batched4 = run_and_export(true, 4);
+  const std::string serial = export_of([&] {
+    return run_jobs_serially(victim, env::Game::kCartPole, *approx.model,
+                             jobs);
+  });
+  const std::string driven = export_of([&] {
+    return run_episode_jobs(victim, env::Game::kCartPole, *approx.model, jobs);
+  });
   obs::forensics_detail::g_forensics_enabled.store(
       saved_forensics, std::memory_order_relaxed);
-  attack::set_eval_batch_enabled(saved_eval);
 
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(batched1, serial);
-  EXPECT_EQ(batched4, serial);
-}
-
-// Worker-pool pinning: after a warm-up invocation has populated the
-// process-lifetime clone pool, further run_episode_jobs invocations against
-// the same victim/model must construct NO new agents or models — workers
-// are re-synchronized in place (reset_from), not rebuilt.
-TEST_F(ExperimentsParallelTest, WorkerPoolStopsCloningOnceWarm) {
-  Zoo zoo = make_tiny_zoo();
-  RewardExperimentConfig cfg;
-  cfg.game = env::Game::kCartPole;
-  cfg.algorithm = rl::Algorithm::kDqn;
-  cfg.attacks = {attack::Kind::kFgsm};
-  cfg.l2_budgets = {0.5};
-  cfg.runs = 4;
-  cfg.seed = 4000;
-  zoo.set_experiment_threads(4);
-
-  // Warm-up: trains/loads the zoo artefacts and fills the worker pool for
-  // this (victim, model) architecture under both substrate settings.
-  const bool saved = attack::craft_batch_enabled();
-  const auto reference = run_reward_experiment(zoo, cfg, nullptr);
-  attack::set_craft_batch_enabled(!saved);
-  run_reward_experiment(zoo, cfg, nullptr);
-  attack::set_craft_batch_enabled(saved);
-
-  const std::uint64_t agents_before = rl::agent_constructions();
-  const std::uint64_t models_before = seq2seq::Seq2SeqModel::constructions();
-  const auto warm = run_reward_experiment(zoo, cfg, nullptr);
-  EXPECT_EQ(rl::agent_constructions(), agents_before)
-      << "warm experiment invocation cloned victim agents";
-  EXPECT_EQ(seq2seq::Seq2SeqModel::constructions(), models_before)
-      << "warm experiment invocation cloned approximator models";
-
-  // Reused workers must behave exactly like freshly cloned ones.
-  ASSERT_EQ(warm.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    EXPECT_EQ(warm[i].mean_reward, reference[i].mean_reward) << "row " << i;
+  EXPECT_EQ(driven, serial);
 }
 
 // The instrumentation that rode along with the experiment above actually
@@ -570,7 +526,6 @@ TEST_F(ExperimentsParallelTest, MetricsInstrumentationObservesExperiment) {
   cfg.l2_budgets = {0.5};
   cfg.runs = 2;
   cfg.seed = 1000;
-  zoo.set_experiment_threads(2);
   (void)run_reward_experiment(zoo, cfg, nullptr);
   obs::set_metrics_enabled(saved);
 

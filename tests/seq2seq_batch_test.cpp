@@ -165,30 +165,5 @@ TEST(Seq2SeqBatchedCraft, BackwardWithoutForwardThrows) {
       std::logic_error);
 }
 
-TEST(Seq2SeqBatchedCraft, ResetFromCopiesParametersInPlace) {
-  const Seq2SeqConfig cfg = variant_config(true, false);
-  Seq2SeqModel source(cfg, 21);
-  Seq2SeqModel clone_target(cfg, 22);  // different init, same architecture
-  util::Rng rng(11);
-  nn::Tensor actions = random_tensor({1, 3, 2}, rng);
-  nn::Tensor observations = random_tensor({1, 3, 4}, rng);
-  nn::Tensor current = random_tensor({1, 4}, rng);
-
-  const std::uint64_t before = Seq2SeqModel::constructions();
-  clone_target.reset_from(source);
-  EXPECT_EQ(Seq2SeqModel::constructions(), before)
-      << "reset_from must not construct models";
-
-  nn::Tensor expected = source.forward(actions, observations, current);
-  nn::Tensor actual = clone_target.forward(actions, observations, current);
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    ASSERT_EQ(actual[i], expected[i]) << "logit " << i;
-
-  Seq2SeqConfig other = cfg;
-  other.use_attention = false;
-  Seq2SeqModel incompatible(other, 23);
-  EXPECT_THROW(incompatible.reset_from(source), std::logic_error);
-}
-
 }  // namespace
 }  // namespace rlattack::seq2seq

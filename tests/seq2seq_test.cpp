@@ -365,8 +365,6 @@ TEST_P(Seq2SeqCraftCacheParamGrads, CraftingLeavesEveryParameterGradient) {
   model.backward_to_current_batch(random_tensor({2, m, a}, rng));
   expect_grads_hold_sentinel(model, "backward_to_current_batch");
 
-  const bool saved_cache = attack::craft_cache_enabled();
-  attack::set_craft_cache_enabled(true);  // the serial cached craft path
   {
     attack::CraftContext ctx(model, first);
     attack::Goal goal;
@@ -375,7 +373,6 @@ TEST_P(Seq2SeqCraftCacheParamGrads, CraftingLeavesEveryParameterGradient) {
     attack::PgdAttack().perturb(ctx, goal, attack::Budget{},
                                 {-5.0f, 5.0f}, craft_rng);
   }
-  attack::set_craft_cache_enabled(saved_cache);
   expect_grads_hold_sentinel(model, "a serial PGD craft");
 
   // Both participants enroll before either probes, so the two gradient

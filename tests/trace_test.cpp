@@ -149,6 +149,59 @@ TEST(TraceJsonTest, DroppedCountSurfacesInOtherData) {
   EXPECT_NE(log.to_json("b").find("\"dropped\": 3"), std::string::npos);
 }
 
+// events() breaks equal timestamps by thread, then phase, then name, then
+// duration, and hands back events at TraceEvent's own 64-byte alignment.
+TEST(TraceJsonTest, EventsBreakTimestampTiesByThreadPhaseNameDuration) {
+  TraceLog log(/*ring_capacity=*/16);
+  // Emitted in reverse of the expected order.
+  log.emit(make_event("b", 'X', 5, 2, 1));
+  log.emit(make_event("a", 'X', 5, 1, 9));
+  log.emit(make_event("a", 'X', 5, 1, 3));
+  log.emit(make_event("a", 'B', 5, 1));
+  log.emit(make_event("z", 'X', 5, 0));
+  log.emit(make_event("late", 'X', 6, 0));
+  log.emit(make_event("early", 'X', 4, 7));
+
+  const std::vector<TraceEvent> events = log.events();
+  ASSERT_EQ(events.size(), 7u);
+  const struct {
+    const char* name;
+    char phase;
+    std::uint64_t ts_ns;
+    std::uint32_t tid;
+    std::uint64_t dur_ns;
+  } expected[] = {{"early", 'X', 4, 7, 0}, {"z", 'X', 5, 0, 0},
+                  {"a", 'B', 5, 1, 0},     {"a", 'X', 5, 1, 3},
+                  {"a", 'X', 5, 1, 9},     {"b", 'X', 5, 2, 1},
+                  {"late", 'X', 6, 0, 0}};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_STREQ(events[i].name, expected[i].name);
+    EXPECT_EQ(events[i].phase, expected[i].phase);
+    EXPECT_EQ(events[i].ts_ns, expected[i].ts_ns);
+    EXPECT_EQ(events[i].tid, expected[i].tid);
+    EXPECT_EQ(events[i].dur_ns, expected[i].dur_ns);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&events[i]) %
+                  alignof(TraceEvent),
+              0u);
+  }
+}
+
+// Events equal on every sort key keep their emission order.
+TEST(TraceJsonTest, EventsKeepEmissionOrderOnFullTies) {
+  TraceLog log(/*ring_capacity=*/8);
+  for (int i = 0; i < 6; ++i) {
+    TraceEvent ev = make_event("tie", 'i', 10, 3);
+    ev.arg_key[0] = "seq";
+    ev.arg_val[0] = i;
+    log.emit(ev);
+  }
+  const std::vector<TraceEvent> events = log.events();
+  ASSERT_EQ(events.size(), 6u);
+  for (std::size_t i = 0; i < events.size(); ++i)
+    EXPECT_EQ(events[i].arg_val[0], static_cast<double>(i));
+}
+
 // The bit-identical-rows contract rests on this: a disabled scope must not
 // even read the clock, let alone record. The scripted counting clock proves
 // the whole emit surface is inert when tracing is off.
