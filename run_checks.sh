@@ -36,18 +36,23 @@
 #            RLATTACK_TRACE_OUT; validates the Chrome trace-event JSON
 #            parses and carries pool/episode/phase timeline events
 #   simd     default build + the kernel, GEMM operand-path, layer
-#            (backward vs backward_input), attention and craft-cache
-#            parity suites run twice, once under
-#            RLATTACK_SIMD=avx2 and once under RLATTACK_SIMD=scalar;
+#            (backward vs backward_input), attention-GEMM, craft-path
+#            parity and craft parameter-gradient suites run twice, once
+#            under RLATTACK_SIMD=avx2 and once under RLATTACK_SIMD=scalar;
 #            SKIPPED (not failed) when the host CPU lacks AVX2/FMA
 #   rendezvous
-#            the episode driver's parity suites (Seq2SeqBatchedCraft*,
-#            the *ActBatch* agent suites and the *SerialOracle* driver
-#            suite) under BOTH ASan and TSan, each run once per available
+#            the episode driver's parity and containment suites
+#            (Seq2SeqBatchedCraft*, the *ActBatch* agent suites, the
+#            *SerialOracle* driver suite and the *Containment* failure
+#            tests) under BOTH ASan and TSan, each run once per available
 #            GEMM kernel (RLATTACK_SIMD=avx2/scalar) — host threads share
 #            one victim and one model through the rendezvous, which
 #            memcpy-packs rows around the shared GEMMs, so the handoff gets
 #            the memory- and race-checker treatment explicitly
+#
+# Every filtered run must select at least one test: gtest filters go through
+# run_gtest, which fails on an empty selection, and ctest runs with
+# --no-tests=error.
 #
 # Exit status: non-zero if any selected config fails. A skipped tidy step
 # (missing tool) does not fail the run; CHECKS.json records it as "skipped"
@@ -92,10 +97,30 @@ configure_build() {
 }
 
 run_ctest() {
-  # run_ctest <builddir> <log> [ctest args...]
+  # run_ctest <builddir> <log> [ctest args...]; a -R that selects no test
+  # fails instead of passing vacuously.
   local dir="$1" log="$2"
   shift 2
-  (cd "${dir}" && run_logged "../${log}" ctest --output-on-failure -j "${JOBS}" "$@")
+  (cd "${dir}" && run_logged "../${log}" ctest --output-on-failure \
+    --no-tests=error -j "${JOBS}" "$@")
+}
+
+run_gtest() {
+  # run_gtest <log> <binary> <filter>: every filtered gtest run goes through
+  # here. It lists the filter's tests first and fails when the list is
+  # empty — a filter that matches nothing would otherwise pass — then runs
+  # them. Environment assignments before the call reach the binary; the
+  # listing run drops the export paths so only the real run writes them.
+  local log="$1" bin="$2" filter="$3" listed
+  listed=$(env -u RLATTACK_METRICS_OUT -u RLATTACK_TRACE_OUT \
+    "${bin}" --gtest_list_tests --gtest_filter="${filter}" \
+    2>>"${log}" | grep -c '^  ') || true
+  if [ "${listed:-0}" -eq 0 ]; then
+    echo "run_gtest: filter '${filter}' selects no test in ${bin}" >>"${log}"
+    return 1
+  fi
+  echo "--- ${bin} --gtest_filter='${filter}': ${listed} tests" >>"${log}"
+  run_logged "${log}" "${bin}" --gtest_filter="${filter}"
 }
 
 validate_metrics_json() {
@@ -177,16 +202,17 @@ EOF
 
 run_rendezvous_suites() {
   # run_rendezvous_suites <builddir> <log>: the batched model calls, the
-  # batched agent policies and the episode driver against its serial
-  # oracle. The caller sets the sanitizer options and RLATTACK_SIMD.
+  # batched agent policies, the episode driver against its serial oracle
+  # and its failure containment. The caller sets the sanitizer options and
+  # RLATTACK_SIMD.
   local dir="$1" log="$2" rc=0
-  RLATTACK_THREADS=4 run_logged "${log}" "${dir}/tests/seq2seq_batch_test" \
-    --gtest_filter='Seq2SeqBatchedCraft*' || rc=1
-  RLATTACK_THREADS=4 run_logged "${log}" "${dir}/tests/rl_test" \
-    --gtest_filter='*ActBatch*' || rc=1
-  RLATTACK_THREADS=4 run_logged "${log}" \
+  RLATTACK_THREADS=4 run_gtest "${log}" "${dir}/tests/seq2seq_batch_test" \
+    'Seq2SeqBatchedCraft*' || rc=1
+  RLATTACK_THREADS=4 run_gtest "${log}" "${dir}/tests/rl_test" \
+    '*ActBatch*' || rc=1
+  RLATTACK_THREADS=4 run_gtest "${log}" \
     "${dir}/tests/experiments_parallel_test" \
-    --gtest_filter='*SerialOracle*' || rc=1
+    '*SerialOracle*:*Containment*' || rc=1
   return ${rc}
 }
 
@@ -334,8 +360,8 @@ run_config() {
       if [ ${rc} -eq 0 ]; then
         rm -f "${metrics_json}"
         RLATTACK_METRICS_OUT="${metrics_json}" RLATTACK_THREADS=4 \
-          run_logged "${log}" build/tests/experiments_parallel_test \
-          --gtest_filter='*MetricsInstrumentationObservesExperiment*' || rc=1
+          run_gtest "${log}" build/tests/experiments_parallel_test \
+          '*MetricsInstrumentationObservesExperiment*' || rc=1
       fi
       if [ ${rc} -eq 0 ]; then
         run_logged "${log}" validate_metrics_json "${metrics_json}" || rc=1
@@ -352,17 +378,17 @@ run_config() {
         -DRLATTACK_BUILD_EXAMPLES=OFF || rc=1
       if [ ${rc} -eq 0 ]; then
         TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-          RLATTACK_THREADS=4 run_logged "${log}" \
-          build-tsan/tests/trace_test --gtest_filter='Trace*' || rc=1
+          RLATTACK_THREADS=4 run_gtest "${log}" \
+          build-tsan/tests/trace_test 'Trace*' || rc=1
       fi
       configure_build trace build "${log}" || rc=1
       local trace_json="${LOG_DIR}/trace.json"
       if [ ${rc} -eq 0 ]; then
         rm -f "${trace_json}"
         RLATTACK_TRACE=1 RLATTACK_TRACE_OUT="${trace_json}" \
-          RLATTACK_THREADS=4 run_logged "${log}" \
+          RLATTACK_THREADS=4 run_gtest "${log}" \
           build/tests/experiments_parallel_test \
-          --gtest_filter='*MetricsInstrumentationObservesExperiment*' || rc=1
+          '*MetricsInstrumentationObservesExperiment*' || rc=1
       fi
       if [ ${rc} -eq 0 ]; then
         run_logged "${log}" validate_trace_json "${trace_json}" || rc=1
@@ -405,7 +431,7 @@ run_config() {
             run_rendezvous_suites build-tsan "${log}" || rc=1
         done
       fi
-      DETAIL[${name}]="episode-driver rendezvous parity suites under ASan + TSan x SIMD kernels"
+      DETAIL[${name}]="episode-driver rendezvous parity and containment suites under ASan + TSan x SIMD kernels"
       ;;
     simd)
       # Dispatch parity: the kernel/attention parity suites must pass when
@@ -425,15 +451,17 @@ run_config() {
         local mode
         for mode in avx2 scalar; do
           echo "--- RLATTACK_SIMD=${mode} ---" >>"${log}"
-          RLATTACK_SIMD="${mode}" run_logged "${log}" \
+          RLATTACK_SIMD="${mode}" run_gtest "${log}" \
             build/tests/kernels_test \
-            --gtest_filter='*SimdDispatch*:*SgemmParity*:*SgemmOperandPaths*:*KernelHelpers*:*DenseParity*:*Conv2DParity*:*LstmParity*:*TimeDistributedParity*' || rc=1
-          RLATTACK_SIMD="${mode}" run_logged "${log}" \
+            '*SimdDispatch*:*SgemmParity*:*SgemmOperandPaths*:*KernelHelpers*:*DenseParity*:*Conv2DParity*:*LstmParity*:*TimeDistributedParity*' || rc=1
+          RLATTACK_SIMD="${mode}" run_gtest "${log}" \
             build/tests/seq2seq_test \
-            --gtest_filter='Seq2SeqAttentionGemm*:*Seq2SeqCraftCache*' || rc=1
+            '*Seq2SeqAttentionGemm*:*Seq2SeqCraftCacheParamGrads*' || rc=1
+          RLATTACK_SIMD="${mode}" run_gtest "${log}" \
+            build/tests/seq2seq_batch_test 'Seq2SeqBatchedCraft*' || rc=1
         done
       fi
-      DETAIL[${name}]="kernel/operand-path/layer/attention/craft-cache parity suites under RLATTACK_SIMD=avx2 and =scalar"
+      DETAIL[${name}]="kernel/operand-path/layer/attention/craft-path parity suites under RLATTACK_SIMD=avx2 and =scalar"
       ;;
     *)
       echo "run_checks.sh: unknown config '${name}'" >&2

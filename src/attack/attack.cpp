@@ -1,14 +1,13 @@
 #include "rlattack/attack/attack.hpp"
 
 #include <algorithm>
-
-#include "rlattack/attack/batch_planner.hpp"
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "rlattack/attack/batch_planner.hpp"
 #include "rlattack/nn/loss.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/util/check.hpp"
@@ -42,6 +41,18 @@ struct AttackMetrics {
   obs::Counter& encode_reuse = reg.counter("attack.encode.reuse");
 };
 AttackMetrics g_metrics;
+
+/// Argmax of every output step of [1, m, A] logits.
+std::vector<std::size_t> argmax_per_step(const nn::Tensor& logits) {
+  const std::size_t m = logits.dim(1), a = logits.dim(2);
+  std::vector<std::size_t> actions(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    auto row = logits.data().subspan(j * a, a);
+    actions[j] = static_cast<std::size_t>(
+        std::max_element(row.begin(), row.end()) - row.begin());
+  }
+  return actions;
+}
 
 /// Scales `delta` so its norm equals `budget.epsilon` (no-op on a zero
 /// vector).
@@ -147,66 +158,39 @@ CraftContext::CraftContext(BatchedCraftPlanner& planner,
                            const CraftInputs& inputs)
     : model_(planner.model()), inputs_(inputs), planner_(&planner) {}
 
-nn::Tensor CraftContext::cached_logits(const nn::Tensor& current_obs) {
-  if (!encoded_) {
-    encoding_ =
-        model_.encode_history(inputs_.action_history, inputs_.obs_history);
-    encoded_ = true;
+void CraftContext::ask(CraftProbe& probe) {
+  probe.inputs = &inputs_;
+  probe.encoding = &encoding_;
+  probe.encoded = &encoded_;
+  if (encoded_) g_metrics.encode_reuse.add();
+  if (planner_ != nullptr) {
+    planner_->submit(probe);
   } else {
-    g_metrics.encode_reuse.add();
+    CraftProbe* const one = &probe;
+    resolve_craft_probes(model_, {&one, 1});
   }
-  return model_.forward_cached(encoding_, current_obs);
 }
 
 std::vector<std::size_t> CraftContext::predict_actions() {
   ++q_forward_;
   g_metrics.queries_forward.add();
-  nn::Tensor logits;
-  if (planner_ != nullptr) {
-    BatchedCraftPlanner::Probe probe;
-    probe.kind = BatchedCraftPlanner::ProbeKind::kForward;
-    probe.inputs = &inputs_;
-    probe.encoding = &encoding_;
-    probe.encoded = &encoded_;
-    probe.current_obs = &inputs_.current_obs;
-    if (encoded_) g_metrics.encode_reuse.add();
-    planner_->submit(probe);
-    logits = std::move(probe.logits);
-  } else {
-    logits = cached_logits(inputs_.current_obs);
-  }
-  const std::size_t m = logits.dim(1), a = logits.dim(2);
-  std::vector<std::size_t> actions(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    auto row = logits.data().subspan(j * a, a);
-    actions[j] = static_cast<std::size_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-  }
-  return actions;
+  CraftProbe probe;
+  probe.current_obs = &inputs_.current_obs;
+  ask(probe);
+  return argmax_per_step(probe.logits);
 }
 
 std::vector<float> CraftContext::position_logits(
     std::size_t position, const nn::Tensor& current_obs) {
   ++q_forward_;
   g_metrics.queries_forward.add();
-  nn::Tensor logits;
-  if (planner_ != nullptr) {
-    BatchedCraftPlanner::Probe probe;
-    probe.kind = BatchedCraftPlanner::ProbeKind::kForward;
-    probe.inputs = &inputs_;
-    probe.encoding = &encoding_;
-    probe.encoded = &encoded_;
-    probe.current_obs = &current_obs;
-    if (encoded_) g_metrics.encode_reuse.add();
-    planner_->submit(probe);
-    logits = std::move(probe.logits);
-  } else {
-    logits = cached_logits(current_obs);
-  }
-  const std::size_t m = logits.dim(1), a = logits.dim(2);
-  if (position >= m)
+  if (position >= model_.config().output_steps)
     throw std::logic_error("position_logits: position out of range");
-  auto row = logits.data().subspan(position * a, a);
+  CraftProbe probe;
+  probe.current_obs = &current_obs;
+  ask(probe);
+  const std::size_t a = probe.logits.dim(2);
+  auto row = probe.logits.data().subspan(position * a, a);
   return {row.begin(), row.end()};
 }
 
@@ -215,73 +199,37 @@ nn::Tensor CraftContext::current_obs_gradient(std::size_t position,
                                               const nn::Tensor& current_obs) {
   ++q_gradient_;
   g_metrics.queries_gradient.add();
-  if (planner_ != nullptr) {
-    if (position >= model_.config().output_steps)
-      throw std::logic_error("current_obs_gradient: position out of range");
-    BatchedCraftPlanner::Probe probe;
-    probe.kind = BatchedCraftPlanner::ProbeKind::kCeGradient;
-    probe.inputs = &inputs_;
-    probe.encoding = &encoding_;
-    probe.encoded = &encoded_;
-    probe.current_obs = &current_obs;
-    probe.position = position;
-    probe.action_a = action;
-    if (encoded_) g_metrics.encode_reuse.add();
-    planner_->submit(probe);
-    return std::move(probe.grad);
-  }
-  nn::Tensor logits = cached_logits(current_obs);
-  const std::size_t m = logits.dim(1);
-  if (position >= m)
-    throw std::logic_error("current_obs_gradient: position out of range");
-  // CE on the attacked position only; other rows get zero weight.
-  std::vector<std::size_t> targets(m, 0);
-  std::vector<float> weights(m, 0.0f);
-  targets[position] = action;
-  weights[position] = 1.0f;
-  nn::LossResult loss = nn::softmax_cross_entropy(logits, targets, weights);
-  return model_.backward_to_current(loss.grad);
+  const seq2seq::Seq2SeqConfig& cfg = model_.config();
+  if (position >= cfg.output_steps || action >= cfg.actions)
+    throw std::logic_error("current_obs_gradient: index out of range");
+  CraftProbe probe;
+  probe.kind = CraftProbe::Kind::kCeGradient;
+  probe.current_obs = &current_obs;
+  probe.position = position;
+  probe.action_a = action;
+  ask(probe);
+  return std::move(probe.grad);
 }
 
 std::pair<std::vector<std::size_t>, nn::Tensor>
 CraftContext::anchored_gradient(std::size_t position,
                                 const nn::Tensor& current_obs) {
-  if (planner_ == nullptr) {
-    // No rendezvous to save: ask the two questions one after the other.
-    std::vector<std::size_t> predicted = predict_actions();
-    if (position >= predicted.size())
-      throw std::logic_error("Attack: goal position beyond output sequence");
-    nn::Tensor grad =
-        current_obs_gradient(position, predicted[position], current_obs);
-    return {std::move(predicted), std::move(grad)};
-  }
   if (position >= model_.config().output_steps)
     throw std::logic_error("Attack: goal position beyond output sequence");
   ++q_forward_;
   ++q_gradient_;
   g_metrics.queries_forward.add();
   g_metrics.queries_gradient.add();
-  // Mirror the unfused accounting: the gradient half of the fused probe
-  // always reuses the encoding the forward half just ensured (plus one more
-  // reuse when the context was already encoded before the call).
-  if (encoded_) g_metrics.encode_reuse.add();
+  // Mirror the unfused accounting: the gradient half always reuses the
+  // encoding the forward half ensured (ask() counts one more reuse when the
+  // context was already encoded before the call).
   g_metrics.encode_reuse.add();
-  BatchedCraftPlanner::Probe probe;
-  probe.kind = BatchedCraftPlanner::ProbeKind::kAnchorGradient;
-  probe.inputs = &inputs_;
-  probe.encoding = &encoding_;
-  probe.encoded = &encoded_;
+  CraftProbe probe;
+  probe.kind = CraftProbe::Kind::kAnchorGradient;
   probe.current_obs = &current_obs;
   probe.position = position;
-  planner_->submit(probe);
-  const std::size_t m = probe.logits.dim(1), a = probe.logits.dim(2);
-  std::vector<std::size_t> predicted(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    auto row = probe.logits.data().subspan(j * a, a);
-    predicted[j] = static_cast<std::size_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-  }
-  return {std::move(predicted), std::move(probe.grad)};
+  ask(probe);
+  return {argmax_per_step(probe.logits), std::move(probe.grad)};
 }
 
 nn::Tensor CraftContext::logit_diff_gradient(std::size_t position,
@@ -289,31 +237,17 @@ nn::Tensor CraftContext::logit_diff_gradient(std::size_t position,
                                              const nn::Tensor& current_obs) {
   ++q_gradient_;
   g_metrics.queries_gradient.add();
-  if (planner_ != nullptr) {
-    const seq2seq::Seq2SeqConfig& cfg = model_.config();
-    if (position >= cfg.output_steps || a >= cfg.actions || b >= cfg.actions)
-      throw std::logic_error("logit_diff_gradient: index out of range");
-    BatchedCraftPlanner::Probe probe;
-    probe.kind = BatchedCraftPlanner::ProbeKind::kDiffGradient;
-    probe.inputs = &inputs_;
-    probe.encoding = &encoding_;
-    probe.encoded = &encoded_;
-    probe.current_obs = &current_obs;
-    probe.position = position;
-    probe.action_a = a;
-    probe.action_b = b;
-    if (encoded_) g_metrics.encode_reuse.add();
-    planner_->submit(probe);
-    return std::move(probe.grad);
-  }
-  nn::Tensor logits = cached_logits(current_obs);
-  const std::size_t m = logits.dim(1), actions = logits.dim(2);
-  if (position >= m || a >= actions || b >= actions)
+  const seq2seq::Seq2SeqConfig& cfg = model_.config();
+  if (position >= cfg.output_steps || a >= cfg.actions || b >= cfg.actions)
     throw std::logic_error("logit_diff_gradient: index out of range");
-  nn::Tensor grad_logits(logits.shape());
-  grad_logits[position * actions + a] = 1.0f;
-  grad_logits[position * actions + b] -= 1.0f;  // a == b yields zero grad
-  return model_.backward_to_current(grad_logits);
+  CraftProbe probe;
+  probe.kind = CraftProbe::Kind::kDiffGradient;
+  probe.current_obs = &current_obs;
+  probe.position = position;
+  probe.action_a = a;
+  probe.action_b = b;
+  ask(probe);
+  return std::move(probe.grad);
 }
 
 nn::Tensor Attack::perturb(seq2seq::Seq2SeqModel& model,
@@ -367,16 +301,8 @@ void check_perturbation(const nn::Tensor& original,
 std::vector<std::size_t> predict_actions(seq2seq::Seq2SeqModel& model,
                                          const CraftInputs& inputs) {
   g_metrics.queries_forward.add();
-  nn::Tensor logits = model.forward(inputs.action_history, inputs.obs_history,
-                                    inputs.current_obs);
-  const std::size_t m = logits.dim(1), a = logits.dim(2);
-  std::vector<std::size_t> actions(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    auto row = logits.data().subspan(j * a, a);
-    actions[j] = static_cast<std::size_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-  }
-  return actions;
+  return argmax_per_step(model.forward(inputs.action_history,
+                                       inputs.obs_history, inputs.current_obs));
 }
 
 nn::Tensor current_obs_gradient(seq2seq::Seq2SeqModel& model,

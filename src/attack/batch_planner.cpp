@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <vector>
 
 #include "rlattack/nn/loss.hpp"
@@ -125,7 +126,7 @@ void BatchedCraftPlanner::retire() noexcept {
     flush_ready_locked();
 }
 
-void BatchedCraftPlanner::submit(Probe& probe) {
+void BatchedCraftPlanner::submit(CraftProbe& probe) {
   if constexpr (util::kCheckedBuild) {
     // The rendezvous only terminates because every host can block
     // independently. A global-pool worker that submitted would park a pool
@@ -150,40 +151,42 @@ void BatchedCraftPlanner::submit(Probe& probe) {
     // Last arrival executes the whole batch; everyone else is parked on
     // cv_ below, so holding mu_ through the model work is deadlock-free.
     flush_ready_locked();
-    return;
-  }
-  // The wait is a span, so a stalled rendezvous shows as a wide
-  // craft.submit_wait block in the timeline rather than a blank gap.
-  obs::TraceScope trace("craft.submit_wait", "queued",
-                        static_cast<double>(queue_.size()));
-  // Explicit wait loop: probe.done is written by the flushing thread under
-  // mu_, and reading it here keeps the guarded access inside this annotated
-  // scope (see thread_safety.hpp conventions).
-  if constexpr (util::kCheckedBuild) {
-    // Stall watchdog: each elapsed interval without an answer fires the
-    // craft.batch.stall counter and an instant trace event. Spurious wakes
-    // re-arm the interval, so a firing means at least interval ms of real
-    // waiting since the previous check — precise enough for liveness triage.
-    const auto interval =
-        std::chrono::milliseconds(static_cast<long>(stall_watchdog_ms()));
-    while (!probe.done) {
-      if (cv_.wait_for(lock.native_lock(), interval) ==
-              std::cv_status::timeout &&
-          !probe.done) {
-        planner_metrics().stall.add();
-        obs::trace_instant("craft.batch.stall", "interval_ms",
-                           static_cast<double>(stall_watchdog_ms()));
-      }
-    }
   } else {
-    while (!probe.done) cv_.wait(lock.native_lock());
+    // The wait is a span, so a stalled rendezvous shows as a wide
+    // craft.submit_wait block in the timeline rather than a blank gap.
+    obs::TraceScope trace("craft.submit_wait", "queued",
+                          static_cast<double>(queue_.size()));
+    // Explicit wait loop: probe.done is written by the flushing thread
+    // under mu_, and reading it here keeps the guarded access inside this
+    // annotated scope (see thread_safety.hpp conventions).
+    if constexpr (util::kCheckedBuild) {
+      // Stall watchdog: each elapsed interval without an answer fires the
+      // craft.batch.stall counter and an instant trace event. Spurious
+      // wakes re-arm the interval, so a firing means at least interval ms
+      // of real waiting since the previous check — precise enough for
+      // liveness triage.
+      const auto interval =
+          std::chrono::milliseconds(static_cast<long>(stall_watchdog_ms()));
+      while (!probe.done) {
+        if (cv_.wait_for(lock.native_lock(), interval) ==
+                std::cv_status::timeout &&
+            !probe.done) {
+          planner_metrics().stall.add();
+          obs::trace_instant("craft.batch.stall", "interval_ms",
+                             static_cast<double>(stall_watchdog_ms()));
+        }
+      }
+    } else {
+      while (!probe.done) cv_.wait(lock.native_lock());
+    }
   }
+  if (probe.error) std::rethrow_exception(probe.error);
 }
 
 void BatchedCraftPlanner::submit(EvalProbe& probe) {
   if constexpr (util::kCheckedBuild) {
     // Same host discipline as craft probes: rendezvous hosts must be
-    // dedicated threads, never global-pool workers (see submit(Probe&)).
+    // dedicated threads, never global-pool workers (see submit(CraftProbe&)).
     RLATTACK_CHECK(!util::ThreadPool::inside_worker(),
                    "BatchedCraftPlanner::submit called from a thread-pool "
                    "worker; rendezvous hosts must be dedicated threads");
@@ -200,26 +203,27 @@ void BatchedCraftPlanner::submit(EvalProbe& probe) {
   eval_queue_.push_back(&probe);
   if (pending_locked() == enrolled_) {
     flush_ready_locked();
-    return;
-  }
-  obs::TraceScope trace("eval.submit_wait", "queued",
-                        static_cast<double>(eval_queue_.size()));
-  if constexpr (util::kCheckedBuild) {
-    // Eval-side stall watchdog, mirroring the craft wait loop above.
-    const auto interval =
-        std::chrono::milliseconds(static_cast<long>(stall_watchdog_ms()));
-    while (!probe.done) {
-      if (cv_.wait_for(lock.native_lock(), interval) ==
-              std::cv_status::timeout &&
-          !probe.done) {
-        planner_metrics().eval_stall.add();
-        obs::trace_instant("eval.batch.stall", "interval_ms",
-                           static_cast<double>(stall_watchdog_ms()));
-      }
-    }
   } else {
-    while (!probe.done) cv_.wait(lock.native_lock());
+    obs::TraceScope trace("eval.submit_wait", "queued",
+                          static_cast<double>(eval_queue_.size()));
+    if constexpr (util::kCheckedBuild) {
+      // Eval-side stall watchdog, mirroring the craft wait loop above.
+      const auto interval =
+          std::chrono::milliseconds(static_cast<long>(stall_watchdog_ms()));
+      while (!probe.done) {
+        if (cv_.wait_for(lock.native_lock(), interval) ==
+                std::cv_status::timeout &&
+            !probe.done) {
+          planner_metrics().eval_stall.add();
+          obs::trace_instant("eval.batch.stall", "interval_ms",
+                             static_cast<double>(stall_watchdog_ms()));
+        }
+      }
+    } else {
+      while (!probe.done) cv_.wait(lock.native_lock());
+    }
   }
+  if (probe.error) std::rethrow_exception(probe.error);
 }
 
 void BatchedCraftPlanner::flush_ready_locked() {
@@ -228,34 +232,55 @@ void BatchedCraftPlanner::flush_ready_locked() {
   // bit-identical to serial, and no probe depends on another in the same
   // rendezvous round — so it is fixed here purely for determinism of the
   // trace timeline.
-  if (!eval_queue_.empty()) {
-    PlannerMetrics& metrics = planner_metrics();
-    const std::size_t rows = eval_queue_.size();
-    obs::TraceScope trace("eval.batch.flush", "rows",
-                          static_cast<double>(rows));
-    metrics.eval_flushes.add();
-    metrics.eval_probes.add(rows);
-    metrics.eval_batch_size.record(static_cast<double>(rows));
-    victim_handler_(std::span<EvalProbe* const>(eval_queue_));
-    for (EvalProbe* probe : eval_queue_) probe->done = true;
+  PlannerMetrics& metrics = planner_metrics();
+  try {
+    if (!eval_queue_.empty()) {
+      const std::size_t rows = eval_queue_.size();
+      obs::TraceScope trace("eval.batch.flush", "rows",
+                            static_cast<double>(rows));
+      metrics.eval_flushes.add();
+      metrics.eval_probes.add(rows);
+      metrics.eval_batch_size.record(static_cast<double>(rows));
+      victim_handler_(std::span<EvalProbe* const>(eval_queue_));
+      for (EvalProbe* probe : eval_queue_) probe->done = true;
+      eval_queue_.clear();
+    }
+    if (!queue_.empty()) {
+      const std::size_t rows = queue_.size();
+      obs::TraceScope trace("craft.flush", "rows", static_cast<double>(rows));
+      metrics.flushes.add();
+      metrics.batch_size.record(static_cast<double>(rows));
+      resolve_craft_probes(model_, queue_);
+      for (CraftProbe* probe : queue_) probe->done = true;
+      queue_.clear();
+    }
+  } catch (...) {
+    // A throwing victim handler or model must not park the other hosts:
+    // answer every probe still pending with the error (each submit rethrows
+    // it) and empty both queues, so no pointer to an unwound probe stays.
+    const std::exception_ptr error = std::current_exception();
+    for (EvalProbe* probe : eval_queue_) {
+      probe->error = error;
+      probe->done = true;
+    }
+    for (CraftProbe* probe : queue_) {
+      probe->error = error;
+      probe->done = true;
+    }
     eval_queue_.clear();
-  }
-  if (!queue_.empty()) {
-    obs::TraceScope trace("craft.flush", "rows",
-                          static_cast<double>(queue_.size()));
-    flush_locked();
+    queue_.clear();
   }
   cv_.notify_all();
 }
 
-void BatchedCraftPlanner::flush_locked() {
+void resolve_craft_probes(seq2seq::Seq2SeqModel& model,
+                          std::span<CraftProbe* const> probes) {
+  using ProbeKind = CraftProbe::Kind;
   PlannerMetrics& metrics = planner_metrics();
-  const std::size_t rows = queue_.size();
-  metrics.flushes.add();
+  const std::size_t rows = probes.size();
   metrics.probes.add(rows);
-  metrics.batch_size.record(static_cast<double>(rows));
 
-  const seq2seq::Seq2SeqConfig& cfg = model_.config();
+  const seq2seq::Seq2SeqConfig& cfg = model.config();
   const std::size_t n = cfg.input_steps;
   const std::size_t a_count = cfg.actions;
   const std::size_t m = cfg.output_steps;
@@ -264,8 +289,8 @@ void BatchedCraftPlanner::flush_locked() {
   // Lazy history encodes, batched: pack the not-yet-encoded contexts'
   // histories, run the heads once, scatter the per-row encodings back into
   // the contexts' cache slots.
-  std::vector<Probe*> to_encode;
-  for (Probe* probe : queue_)
+  std::vector<CraftProbe*> to_encode;
+  for (CraftProbe* probe : probes)
     if (!*probe->encoded) to_encode.push_back(probe);
   if (!to_encode.empty()) {
     const std::size_t k = to_encode.size();
@@ -282,7 +307,7 @@ void BatchedCraftPlanner::flush_locked() {
       }
     }
     std::vector<seq2seq::HistoryEncoding> encodings =
-        model_.encode_history_batch(actions, observations);
+        model.encode_history_batch(actions, observations);
     obs::Span span(metrics.scatter);
     for (std::size_t r = 0; r < k; ++r) {
       *to_encode[r]->encoding = std::move(encodings[r]);
@@ -296,73 +321,59 @@ void BatchedCraftPlanner::flush_locked() {
   {
     obs::Span span(metrics.gather);
     for (std::size_t r = 0; r < rows; ++r) {
-      caches[r] = queue_[r]->encoding;
-      std::memcpy(current.raw() + r * frame, queue_[r]->current_obs->raw(),
+      caches[r] = probes[r]->encoding;
+      std::memcpy(current.raw() + r * frame, probes[r]->current_obs->raw(),
                   frame * sizeof(float));
     }
   }
-  nn::Tensor logits = model_.forward_cached_batch(caches, current);
+  nn::Tensor logits = model.forward_cached_batch(caches, current);
 
   // Scatter logits and assemble the per-row loss gradients. Forward-only
   // rows keep a zero gradient row: batch rows are independent through the
   // whole backward, so the zero rows cost nothing in correctness and keep
-  // the gradient rows' bits identical to their single-row equivalents.
+  // the gradient rows' bits identical to resolving each probe alone.
   bool any_gradient = false;
   nn::Tensor grad_logits({rows, m, a_count});
   {
     obs::Span span(metrics.scatter);
     for (std::size_t r = 0; r < rows; ++r) {
-      Probe& probe = *queue_[r];
+      CraftProbe& probe = *probes[r];
       float* grad_row = grad_logits.raw() + r * m * a_count;
+      nn::Tensor row_logits({1, m, a_count});
+      std::memcpy(row_logits.raw(), logits.raw() + r * m * a_count,
+                  m * a_count * sizeof(float));
+      // CE on the attacked position only; other rows get zero weight.
+      const auto ce_row = [&](std::size_t target) {
+        std::vector<std::size_t> targets(m, 0);
+        std::vector<float> weights(m, 0.0f);
+        targets[probe.position] = target;
+        weights[probe.position] = 1.0f;
+        nn::LossResult loss =
+            nn::softmax_cross_entropy(row_logits, targets, weights);
+        std::memcpy(grad_row, loss.grad.raw(), m * a_count * sizeof(float));
+      };
       switch (probe.kind) {
-        case ProbeKind::kForward: {
-          probe.logits = nn::Tensor({1, m, a_count});
-          std::memcpy(probe.logits.raw(), logits.raw() + r * m * a_count,
-                      m * a_count * sizeof(float));
+        case ProbeKind::kForward:
+          probe.logits = std::move(row_logits);
           break;
-        }
-        case ProbeKind::kCeGradient: {
+        case ProbeKind::kCeGradient:
           any_gradient = true;
-          // Same per-row CE as CraftContext::current_obs_gradient: loss on
-          // the attacked position only, computed from this row's logits.
-          nn::Tensor row_logits({1, m, a_count});
-          std::memcpy(row_logits.raw(), logits.raw() + r * m * a_count,
-                      m * a_count * sizeof(float));
-          std::vector<std::size_t> targets(m, 0);
-          std::vector<float> weights(m, 0.0f);
-          targets[probe.position] = probe.action_a;
-          weights[probe.position] = 1.0f;
-          nn::LossResult loss =
-              nn::softmax_cross_entropy(row_logits, targets, weights);
-          std::memcpy(grad_row, loss.grad.raw(), m * a_count * sizeof(float));
+          ce_row(probe.action_a);
           break;
-        }
-        case ProbeKind::kDiffGradient: {
+        case ProbeKind::kDiffGradient:
           any_gradient = true;
           grad_row[probe.position * a_count + probe.action_a] += 1.0f;
           grad_row[probe.position * a_count + probe.action_b] -= 1.0f;
           break;
-        }
         case ProbeKind::kAnchorGradient: {
           // Fused anchor resolution: the CE target is the argmax of the
-          // logits this same flush just computed — exactly what a kForward
-          // probe followed by a kCeGradient probe would have produced, one
-          // rendezvous round earlier.
+          // logits this same pass just computed — exactly what a kForward
+          // probe followed by a kCeGradient probe would have produced.
           any_gradient = true;
-          probe.logits = nn::Tensor({1, m, a_count});
-          std::memcpy(probe.logits.raw(), logits.raw() + r * m * a_count,
-                      m * a_count * sizeof(float));
-          const float* row =
-              probe.logits.raw() + probe.position * a_count;
-          const std::size_t anchor = static_cast<std::size_t>(
-              std::max_element(row, row + a_count) - row);
-          std::vector<std::size_t> targets(m, 0);
-          std::vector<float> weights(m, 0.0f);
-          targets[probe.position] = anchor;
-          weights[probe.position] = 1.0f;
-          nn::LossResult loss =
-              nn::softmax_cross_entropy(probe.logits, targets, weights);
-          std::memcpy(grad_row, loss.grad.raw(), m * a_count * sizeof(float));
+          const float* row = row_logits.raw() + probe.position * a_count;
+          ce_row(static_cast<std::size_t>(
+              std::max_element(row, row + a_count) - row));
+          probe.logits = std::move(row_logits);
           break;
         }
       }
@@ -370,20 +381,16 @@ void BatchedCraftPlanner::flush_locked() {
   }
 
   if (any_gradient) {
-    nn::Tensor grads = model_.backward_to_current_batch(grad_logits);
+    nn::Tensor grads = model.backward_to_current_batch(grad_logits);
     obs::Span span(metrics.scatter);
     for (std::size_t r = 0; r < rows; ++r) {
-      Probe& probe = *queue_[r];
+      CraftProbe& probe = *probes[r];
       if (probe.kind == ProbeKind::kForward) continue;
       probe.grad = nn::Tensor({1, frame});
       std::memcpy(probe.grad.raw(), grads.raw() + r * frame,
                   frame * sizeof(float));
     }
   }
-
-  for (Probe* probe : queue_) probe->done = true;
-  queue_.clear();
-  cv_.notify_all();
 }
 
 }  // namespace rlattack::attack

@@ -49,22 +49,21 @@ struct CraftInputs {
 };
 
 class BatchedCraftPlanner;
+struct CraftProbe;
 
 /// One craft's model-query frontend (the Section 4.4 attack loop). The
 /// histories (A_{t-1}, S_{t-1}) are fixed for the whole craft, so the
 /// context encodes them lazily exactly once — on the first model query, so
-/// model-free attacks never pay for it — and serves every further query,
-/// iterative PGD/CW/JSMA steps included, from the cached tail path
-/// (Seq2SeqModel::encode_history / forward_cached / backward_to_current).
-/// Its answers are bit-identical to the full-path free helpers below,
-/// which tests keep as the parity oracle. `model` and `inputs` must
-/// outlive the context; one context serves exactly one (A_{t-1}, S_{t-1})
-/// snapshot.
-///
-/// A context constructed over a BatchedCraftPlanner answers the same four
-/// queries with the same bits and the same query accounting, but routes
-/// each one through the planner's rendezvous so concurrent sessions' tail
-/// evaluations fuse into shared batched GEMMs (batch_planner.hpp).
+/// model-free attacks never pay for it — and answers every further query,
+/// iterative PGD/CW/JSMA steps included, from the approximator's tail over
+/// that encoding. Each query becomes one CraftProbe (batch_planner.hpp):
+/// a context over a model resolves it at once as a one-row batch, and a
+/// context over a BatchedCraftPlanner submits it to the planner's
+/// rendezvous, so concurrent sessions' tail evaluations fuse into shared
+/// batched GEMMs. Both answer with the same bits and the same query
+/// accounting, bit-identical to the full-path free helpers below, which
+/// tests keep as the reference. `model` and `inputs` must outlive the
+/// context; one context serves exactly one (A_{t-1}, S_{t-1}) snapshot.
 class CraftContext {
  public:
   CraftContext(seq2seq::Seq2SeqModel& model, const CraftInputs& inputs);
@@ -77,7 +76,7 @@ class CraftContext {
 
   const CraftInputs& inputs() const noexcept { return inputs_; }
 
-  // Cached equivalents of the free helpers at the bottom of this header
+  // Tail-path equivalents of the free helpers at the bottom of this header
   // (same shapes, same bits, same query accounting).
   std::vector<std::size_t> predict_actions();
   std::vector<float> position_logits(std::size_t position,
@@ -86,12 +85,12 @@ class CraftContext {
                                   const nn::Tensor& current_obs);
   nn::Tensor logit_diff_gradient(std::size_t position, std::size_t a,
                                  std::size_t b, const nn::Tensor& current_obs);
-  /// predict_actions() and current_obs_gradient() against the predicted
-  /// action at `position`, answered together. Planner-backed contexts fuse
-  /// the two into ONE rendezvous round (the CE target is the argmax of the
-  /// same forward pass the gradient needs — bit-identical to asking
-  /// separately); other contexts just ask sequentially. Query counters are
-  /// incremented exactly as the two separate calls would.
+  /// predict_actions() at `current_obs` and current_obs_gradient() against
+  /// the predicted action at `position`, answered by ONE fused probe: the
+  /// CE target is the argmax of the same forward pass the gradient needs,
+  /// so the answer is bit-identical to asking separately, at one tail
+  /// forward (and, over a planner, one rendezvous round) less. Query
+  /// counters are incremented exactly as the two separate calls would.
   std::pair<std::vector<std::size_t>, nn::Tensor> anchored_gradient(
       std::size_t position, const nn::Tensor& current_obs);
 
@@ -103,10 +102,9 @@ class CraftContext {
   std::size_t queries_gradient() const noexcept { return q_gradient_; }
 
  private:
-  friend class BatchedCraftPlanner;
-
-  /// forward_cached over the lazily built encoding.
-  nn::Tensor cached_logits(const nn::Tensor& current_obs);
+  /// Points `probe` at this context's inputs and encoding slot, then
+  /// submits it to the planner or resolves it at once.
+  void ask(CraftProbe& probe);
 
   seq2seq::Seq2SeqModel& model_;
   const CraftInputs& inputs_;

@@ -56,6 +56,11 @@ std::size_t episode_hosts(const std::vector<EpisodeJob>& jobs);
 /// share a rendezvous. They must not use the same victim or model at
 /// once.
 ///
+/// Failures: an exception in an episode — thrown on its host or inside a
+/// flush that served it — ends that job, and no host starts another job.
+/// The episodes still in flight run to their end; then the call rethrows
+/// the exception of the lowest failing job index.
+///
 /// `threads` is ignored; it remains so that five-argument callers still
 /// compile.
 std::vector<EpisodeOutcome> run_episode_jobs(

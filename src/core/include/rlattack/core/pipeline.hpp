@@ -80,13 +80,16 @@ class AttackSession {
                 attack::Budget budget);
 
   /// Runs one episode under `policy` with full determinism from
-  /// `episode_seed`. With no planner, every victim and approximator query
-  /// runs single-row on the calling thread (the CLI and one-attacker
-  /// path). With a planner, the session enrolls a participant for the
-  /// whole episode and routes every victim query (an EvalProbe; the
-  /// planner must have a victim handler) and every approximator query
-  /// through its rendezvous, so concurrent sessions share batched
-  /// forwards. The outcome is bit-identical either way.
+  /// `episode_seed`. With no planner, every query runs on the calling
+  /// thread: the victim through act(), the approximator through the craft
+  /// context's one-row probes (the CLI and one-attacker path). With a
+  /// planner, the session enrolls a participant for the whole episode and
+  /// routes every victim query (an EvalProbe; the planner must have a
+  /// victim handler) and every approximator probe through its rendezvous,
+  /// so concurrent sessions share batched forwards. The outcome is
+  /// bit-identical either way. An exception — from the attack, the
+  /// checked-build trust boundary or a failed flush — propagates out, and
+  /// the participant retires as it unwinds.
   EpisodeOutcome run_episode(const AttackPolicy& policy,
                              std::uint64_t episode_seed,
                              attack::BatchedCraftPlanner* planner = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <thread>
 
 #include "rlattack/attack/batch_planner.hpp"
@@ -100,25 +101,39 @@ std::vector<EpisodeOutcome> run_episode_jobs(
   // thread, a worker parked in the rendezvous would wait for hosts that
   // never get scheduled. The GEMMs inside a flush still reach the global
   // pool through its external-submitter path. Jobs are pulled dynamically
-  // because episode lengths vary widely.
+  // because episode lengths vary widely. A job that throws ends its host
+  // and stops every host from pulling further jobs; its episode's
+  // participant retires on the way out, so the episodes still in flight
+  // run to their end.
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::exception_ptr> errors(jobs.size());
   {
     std::vector<std::thread> host_threads;
     host_threads.reserve(hosts);
     for (std::size_t h = 0; h < hosts; ++h) {
       host_threads.emplace_back([&] {
-        for (;;) {
+        while (!failed.load(std::memory_order_relaxed)) {
           const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= jobs.size()) return;
-          checked_stream_purity(jobs[i], i, expected);
-          outcomes[i] = run_one_job(victim, game, model, jobs[i], planner);
-          completed.fetch_add(1, std::memory_order_relaxed);
+          try {
+            checked_stream_purity(jobs[i], i, expected);
+            outcomes[i] = run_one_job(victim, game, model, jobs[i], planner);
+            completed.fetch_add(1, std::memory_order_relaxed);
+          } catch (...) {
+            errors[i] = std::current_exception();
+            failed.store(true, std::memory_order_relaxed);
+            return;
+          }
         }
       });
     }
     for (std::thread& t : host_threads) t.join();
   }
+  // The error of the lowest failing job index, ahead of the hole check.
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
   if constexpr (util::kCheckedBuild) {
     RLATTACK_CHECK(completed.load(std::memory_order_relaxed) == jobs.size(),
                    "run_episode_jobs: " + std::to_string(completed.load()) +

@@ -28,14 +28,6 @@
 
 namespace rlattack::seq2seq {
 
-/// Whether the attention decoder runs its batched-GEMM formulation (default)
-/// or the retained scalar per-(b, t) loops. The two are bit-identical under
-/// the scalar GEMM kernel (tests/seq2seq_test.cpp pins this); the switch is
-/// the debugging escape hatch, initialised from RLATTACK_ATTN_GEMM
-/// ("0" disables, anything else — including unset — enables).
-bool attention_gemm_enabled() noexcept;
-void set_attention_gemm_enabled(bool enabled) noexcept;
-
 struct Seq2SeqConfig {
   std::size_t input_steps = 10;   ///< n — history length
   std::size_t output_steps = 1;   ///< m — 1 ("action") or 10 ("Seq")
@@ -62,29 +54,59 @@ struct Seq2SeqConfig {
 class Seq2SeqModel;
 
 /// Snapshot of everything the model computes from the *fixed* craft inputs
-/// (A_{t-1}, S_{t-1}): the attack loop of Section 4.4 perturbs only the
-/// current observation s_t, so an iterative craft encodes the temporal
-/// context once (Seq2SeqModel::encode_history) and replays only the
-/// s_t-dependent tail per iteration (forward_cached /
-/// backward_to_current). Valid only for the model instance that produced
-/// it and must outlive any forward_cached/backward_to_current call that
-/// uses it (the model keeps a pointer, not a copy).
+/// (A_{t-1}, S_{t-1}) of one craft: the attack loop of Section 4.4 perturbs
+/// only the current observation s_t, so an iterative craft encodes its
+/// temporal context once (Seq2SeqModel::encode_history_batch) and replays
+/// only the s_t-dependent tail per query (forward_cached_batch /
+/// backward_to_current_batch). One encoding describes one history row. It
+/// is valid only for the model instance that produced it and must outlive
+/// any tail call that uses it (the model keeps a pointer, not a copy).
 struct HistoryEncoding {
   const Seq2SeqModel* owner = nullptr;  ///< producing model (stale check)
-  std::size_t batch = 0;                ///< B of the encoded histories
   std::size_t input_steps = 0;          ///< n at encode time
   bool attention = false;               ///< which field set below is live
   // Pooling decoder: summed action-head + obs-head embeddings.
-  nn::Tensor history_embedding;  ///< [B, E]
+  nn::Tensor history_embedding;  ///< [1, E]
   // Attention decoder: the obs history enters per-step via attention, so
   // the encoder states and their key projection K = E W_a^T are cached
   // alongside the action embedding.
-  nn::Tensor action_embedding;  ///< [B, E]
-  nn::Tensor encoder;           ///< [B, n, H]
-  nn::Tensor keys;              ///< [B, n, E]
+  nn::Tensor action_embedding;  ///< [1, E]
+  nn::Tensor encoder;           ///< [1, n, H]
+  nn::Tensor keys;              ///< [1, n, E]
 
   bool valid() const noexcept { return owner != nullptr; }
 };
+
+/// The Luong "general" attention of the attention decoder, as free functions
+/// over given tensors: the model calls them, and tests compare them with a
+/// scalar reference (tests/attention_reference.hpp). Shapes: encoder states
+/// E [B, n, H], score projection W_a [E, H], keys K [B, n, E], decoder
+/// states D [B, m, E], weights alpha [B, m, n], concat rows
+/// [D_t ; c_t] [B, m, E + H].
+namespace attention {
+
+/// K = E W_a^T, one GEMM over the flattened [B*n, H] encoder states.
+nn::Tensor project_keys(const nn::Tensor& encoder, const nn::Tensor& w);
+
+/// Key-projection backward: grad_w += gk^T E and grad_encoder += gk W_a.
+void project_keys_backward(const nn::Tensor& grad_keys,
+                           const nn::Tensor& encoder, const nn::Tensor& w,
+                           nn::Tensor& grad_w, nn::Tensor& grad_encoder);
+
+/// Scores D_t . K_i softmaxed over i into `alpha`; returns the concat rows
+/// [D_t ; c_t] with contexts c_t = sum_i alpha_i E_i.
+nn::Tensor mix_forward(const nn::Tensor& decoder, const nn::Tensor& encoder,
+                       const nn::Tensor& keys, nn::Tensor& alpha);
+
+/// Mix backward: returns d loss / d D. With non-null `grad_encoder` /
+/// `grad_keys` it also accumulates the history-facing gradients; the
+/// truncated craft backward passes nullptr and skips that branch.
+nn::Tensor mix_backward(const nn::Tensor& grad_concat,
+                        const nn::Tensor& decoder, const nn::Tensor& encoder,
+                        const nn::Tensor& keys, const nn::Tensor& alpha,
+                        nn::Tensor* grad_encoder, nn::Tensor* grad_keys);
+
+}  // namespace attention
 
 class Seq2SeqModel {
  public:
@@ -109,70 +131,46 @@ class Seq2SeqModel {
   /// returning input gradients. Call at most once per forward.
   InputGrads backward(const nn::Tensor& grad_logits);
 
-  // --- craft-context fast path (Section 4.4 attack loop) ---
+  // --- craft path (Section 4.4 attack loop) ---
   //
-  // forward() == forward_cached(encode_history(A, S), s_t) bit-for-bit, and
-  // backward_to_current returns exactly backward(g).current_obs — enforced
-  // by tests/seq2seq_test.cpp. forward/backward stay the training path and
-  // the parity oracle; the attacks run on the cached path.
-
-  /// Runs the history heads once: action head + observation head (pooling
-  /// decoder) or action head + observation encoder + key projection
-  /// (attention decoder). The n-step LSTM stacks over the histories are
-  /// never re-entered by forward_cached/backward_to_current.
-  HistoryEncoding encode_history(const nn::Tensor& action_history,
-                                 const nn::Tensor& obs_history);
-
-  /// Evaluates only the s_t-dependent tail — current-observation head,
-  /// RepeatVector, decoder and attention mixing — on top of `cache`.
-  /// Returns logits [B, m, A] bit-identical to the full forward. The cache
-  /// must outlive the call and any backward_to_current that follows.
-  nn::Tensor forward_cached(const HistoryEncoding& cache,
-                            const nn::Tensor& current_obs);
-
-  /// Truncated backward for the cached path: propagates d loss / d logits
-  /// to the current observation only, stopping at the cache boundary — the
-  /// history heads see no backward work. The tail runs each layer's
-  /// backward_input, so no parameter gradient is read or written (the
-  /// attacker differentiates a frozen approximator). Call at most once per
-  /// forward_cached. Returns [B, F], bit-identical to
-  /// backward(grad_logits).current_obs.
-  nn::Tensor backward_to_current(const nn::Tensor& grad_logits);
-
-  // --- batched craft substrate (multi-session tail evaluation) ---
-  //
-  // N independent batch-1 crafts share one tail evaluation: their s_t rows
-  // are packed into a single [N, F] matrix so the current-obs head, decoder
-  // and output layers run as shared GEMMs with m = N instead of N GEMMs of
-  // m = 1. Every layer on the tail treats batch rows independently and the
-  // GEMM kernels fix each row's K-accumulation order regardless of M, so
-  // row r of the batched result is bit-identical to a single-row
-  // forward_cached(*caches[r], s_r) — tests/seq2seq_batch_test.cpp pins
-  // this across decoders, observation kinds, batch sizes, thread counts and
-  // SIMD kernels.
+  // Every craft query evaluates only the s_t-dependent tail over a history
+  // encoding built once per craft. N queries, from one craft or from
+  // concurrent crafts, share one tail evaluation: their s_t rows are packed
+  // into a single [N, F] matrix so the current-obs head, decoder and output
+  // layers run as shared GEMMs. Every layer on the tail treats batch rows
+  // independently and the GEMM kernels fix each row's K-accumulation order
+  // regardless of M, so row r of a batched result is bit-identical to the
+  // full forward / backward(g).current_obs on that row alone —
+  // tests/seq2seq_batch_test.cpp pins this across decoders, observation
+  // kinds, batch sizes, encoding reuse and SIMD kernels. forward/backward
+  // stay the training path and the reference.
 
   /// Runs the history heads once over N packed histories ([N, n, A] /
-  /// [N, n, F]) and splits the result into N batch-1 encodings, each
-  /// bit-identical to encode_history on that row alone.
+  /// [N, n, F]) — action head + observation head (pooling decoder) or action
+  /// head + observation encoder + key projection (attention decoder) — and
+  /// splits the result into N one-row encodings. The n-step LSTM stacks
+  /// over the histories are never re-entered by the tail calls.
   std::vector<HistoryEncoding> encode_history_batch(
       const nn::Tensor& action_histories, const nn::Tensor& obs_histories);
 
-  /// Batched tail forward: caches[r] (batch 1 each) pairs with row r of
-  /// `current_obs` [N, F]. Gathers the per-encoding history state (and, for
-  /// the attention decoder, the per-encoding encoder/key blocks around the
-  /// per-row score/context GEMMs), evaluates the tail once, and returns
-  /// logits [N, m, A]. Each cache must outlive the call and any
+  /// Batched tail forward — current-observation head, RepeatVector, decoder
+  /// and attention mixing: caches[r] pairs with row r of `current_obs`
+  /// [N, F]. Gathers the per-encoding history state (and, for the attention
+  /// decoder, the per-encoding encoder/key blocks around the per-row
+  /// score/context GEMMs), evaluates the tail once, and returns logits
+  /// [N, m, A]. Each cache must outlive the call and any
   /// backward_to_current_batch that follows.
   nn::Tensor forward_cached_batch(
       const std::vector<const HistoryEncoding*>& caches,
       const nn::Tensor& current_obs);
 
   /// Truncated backward for the batched tail: [N, m, A] loss gradients in,
-  /// [N, F] current-observation gradients out. Row r is bit-identical to a
-  /// single-row backward_to_current of row r's gradient (zero gradient rows
-  /// yield zero output rows without disturbing their neighbours). Like
-  /// backward_to_current it leaves every parameter gradient untouched. Call
-  /// at most once per forward_cached_batch.
+  /// [N, F] current-observation gradients out, stopping at the encoding
+  /// boundary — the history heads see no backward work. Zero gradient rows
+  /// yield zero output rows without disturbing their neighbours. The tail
+  /// runs each layer's backward_input, so no parameter gradient is read or
+  /// written (the attacker differentiates a frozen approximator). Call at
+  /// most once per forward_cached_batch.
   nn::Tensor backward_to_current_batch(const nn::Tensor& grad_logits);
 
   /// All learnable parameters across heads and decoder. Built lazily on
@@ -200,23 +198,16 @@ class Seq2SeqModel {
   nn::Tensor repeat_embedding(const nn::Tensor& embedding) const;
   /// [B, m, E] gradient -> [B, E]: RepeatVector backward (sum over copies).
   nn::Tensor sum_over_steps(const nn::Tensor& grad_repeated) const;
-  /// Keys K[b, i, :] = W_a * E[b, i, :] (Luong "general" score).
-  nn::Tensor project_keys(const nn::Tensor& encoder) const;
+  /// The packed history pass behind encode_history_batch: one encoding
+  /// whose tensors hold all B rows.
+  HistoryEncoding encode_history(const nn::Tensor& action_history,
+                                 const nn::Tensor& obs_history);
   /// RepeatVector + decoder LSTM + attention mixing + output dense; reads
-  /// `encoder`/`keys` (members on the full path, HistoryEncoding fields on
-  /// the cached path) and fills cached_decoder_/cached_alpha_.
+  /// `encoder`/`keys` (members on the full path, gathered encodings on the
+  /// craft path) and fills cached_decoder_/cached_alpha_.
   nn::Tensor decode_attention(const nn::Tensor& embedding,
                               const nn::Tensor& encoder,
                               const nn::Tensor& keys);
-  /// Attention-mixing backward: returns d loss / d decoder states. With
-  /// non-null `grad_encoder`/`grad_keys` also accumulates the
-  /// history-facing gradients; the cached path passes nullptr and the
-  /// whole history branch is skipped.
-  nn::Tensor attention_mix_backward(const nn::Tensor& grad_concat,
-                                    const nn::Tensor& encoder,
-                                    const nn::Tensor& keys,
-                                    nn::Tensor* grad_encoder,
-                                    nn::Tensor* grad_keys);
 
   Seq2SeqConfig config_;
   nn::Sequential action_head_;   // [B, n, A] -> [B, E]
@@ -224,12 +215,9 @@ class Seq2SeqModel {
   nn::Sequential current_head_;  // [B, F]    -> [B, E]
   nn::Sequential decoder_;       // [B, m, E] -> [B, m, A] (pooling decoder)
   std::size_t cached_batch_ = 0;
-  /// Encoding used by the last forward_cached; read by backward_to_current,
-  /// reset to nullptr by the full forward. Not owned.
-  const HistoryEncoding* active_cache_ = nullptr;
-  /// N of the last forward_cached_batch; 0 when the last forward was not a
-  /// batched tail. Gates backward_to_current_batch the way active_cache_
-  /// gates backward_to_current.
+  /// N of the last forward_cached_batch; 0 when the last forward was the
+  /// full path. Gates backward_to_current_batch, and the full backward
+  /// refuses to run after a tail forward.
   std::size_t active_batch_ = 0;
   /// Per-row encoder/key blocks gathered by the last attention-decoder
   /// forward_cached_batch; read by backward_to_current_batch.
@@ -249,14 +237,6 @@ class Seq2SeqModel {
   nn::Tensor cached_keys_;      // [B, n, E]
   nn::Tensor cached_decoder_;   // [B, m, E]
   nn::Tensor cached_alpha_;     // [B, m, n]
-  // Reusable scratch for the attention inner loops (scores / dalpha are
-  // per-(b, t) temporaries; keeping them as members avoids a heap
-  // allocation per output position). Plain members are safe because only
-  // one thread is ever inside a model at a time: a model shared by
-  // concurrent episodes through the BatchedCraftPlanner rendezvous is only
-  // entered by the flushing thread under the planner lock.
-  std::vector<float> attn_scores_scratch_;
-  std::vector<float> attn_dalpha_scratch_;
 };
 
 /// Head presets matching Table 2's per-game configurations, scaled to this

@@ -1,14 +1,11 @@
 #include "rlattack/seq2seq/model.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/util/check.hpp"
-#include "rlattack/util/env.hpp"
 
 #include "rlattack/nn/activations.hpp"
 #include "rlattack/nn/conv2d.hpp"
@@ -23,22 +20,6 @@ namespace {
 
 using nn::kernels::sgemm;
 using nn::kernels::Trans;
-
-std::atomic<bool> g_attention_gemm = [] {
-  return !util::env::is_zero(util::env::Var::kAttnGemm);
-}();
-
-}  // namespace
-
-bool attention_gemm_enabled() noexcept {
-  return g_attention_gemm.load(std::memory_order_relaxed);
-}
-
-void set_attention_gemm_enabled(bool enabled) noexcept {
-  g_attention_gemm.store(enabled, std::memory_order_relaxed);
-}
-
-namespace {
 
 /// Per-frame conv feature extractor for image heads; returns the feature
 /// width. Scaled-down analogue of Table 2's conv stacks (16x16 frames vs
@@ -159,8 +140,7 @@ nn::Tensor Seq2SeqModel::forward(const nn::Tensor& action_history,
     throw std::logic_error("Seq2SeqModel::forward: bad current observation " +
                            current_obs.shape_string());
   cached_batch_ = action_history.dim(0);
-  active_cache_ = nullptr;  // this forward pairs with the full backward
-  active_batch_ = 0;
+  active_batch_ = 0;  // this forward pairs with the full backward
   if constexpr (util::kCheckedBuild) {
     RLATTACK_CHECK(util::all_finite(action_history.data()),
                    "Seq2SeqModel::forward: non-finite action history");
@@ -191,9 +171,6 @@ Seq2SeqModel::InputGrads Seq2SeqModel::backward(const nn::Tensor& grad_logits) {
   if constexpr (util::kCheckedBuild) {
     RLATTACK_CHECK(util::all_finite(grad_logits.data()),
                    "Seq2SeqModel::backward: non-finite logits gradient");
-    RLATTACK_CHECK(active_cache_ == nullptr,
-                   "Seq2SeqModel::backward: last forward was forward_cached; "
-                   "use backward_to_current");
     RLATTACK_CHECK(active_batch_ == 0,
                    "Seq2SeqModel::backward: last forward was "
                    "forward_cached_batch; use backward_to_current_batch");
@@ -257,108 +234,123 @@ nn::Tensor Seq2SeqModel::sum_over_steps(const nn::Tensor& grad_repeated) const {
   return grad_embedding;
 }
 
-nn::Tensor Seq2SeqModel::project_keys(const nn::Tensor& encoder) const {
-  // Keys K[b, i, :] = W_a * E[b, i, :]  (Luong "general" score).
-  const std::size_t b_count = encoder.dim(0);
-  const std::size_t n = encoder.dim(1);
-  const std::size_t e = config_.embed;
-  const std::size_t h = config_.lstm_hidden;
-  nn::Tensor keys({b_count, n, e});
-  if (attention_gemm_enabled()) {
-    // One GEMM over the flattened [B*n, H] encoder states: K = E W_a^T.
-    sgemm(Trans::kNo, Trans::kYes, b_count * n, e, h, encoder.raw(), h,
-          attn_w_.raw(), h, keys.raw(), e, false);
-    return keys;
-  }
-  for (std::size_t b = 0; b < b_count; ++b)
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t k = 0; k < e; ++k) {
-        float acc = 0.0f;
-        for (std::size_t hh = 0; hh < h; ++hh)
-          acc += attn_w_[k * h + hh] * encoder.at3(b, i, hh);
-        keys.at3(b, i, k) = acc;
-      }
+namespace attention {
+
+nn::Tensor project_keys(const nn::Tensor& encoder, const nn::Tensor& w) {
+  const std::size_t rows = encoder.dim(0) * encoder.dim(1);
+  const std::size_t e = w.dim(0), h = w.dim(1);
+  nn::Tensor keys({encoder.dim(0), encoder.dim(1), e});
+  sgemm(Trans::kNo, Trans::kYes, rows, e, h, encoder.raw(), h, w.raw(), h,
+        keys.raw(), e, false);
   return keys;
 }
+
+void project_keys_backward(const nn::Tensor& grad_keys,
+                           const nn::Tensor& encoder, const nn::Tensor& w,
+                           nn::Tensor& grad_w, nn::Tensor& grad_encoder) {
+  // dW_a += gk^T E and ge += gk W_a over the flattened [B*n, .] views.
+  const std::size_t rows = encoder.dim(0) * encoder.dim(1);
+  const std::size_t e = w.dim(0), h = w.dim(1);
+  sgemm(Trans::kYes, Trans::kNo, e, h, rows, grad_keys.raw(), e,
+        encoder.raw(), h, grad_w.raw(), h, true);
+  sgemm(Trans::kNo, Trans::kNo, rows, h, e, grad_keys.raw(), e, w.raw(), h,
+        grad_encoder.raw(), h, true);
+}
+
+nn::Tensor mix_forward(const nn::Tensor& decoder, const nn::Tensor& encoder,
+                       const nn::Tensor& keys, nn::Tensor& alpha) {
+  const std::size_t b_count = decoder.dim(0);
+  const std::size_t m = decoder.dim(1), e = decoder.dim(2);
+  const std::size_t n = encoder.dim(1), h = encoder.dim(2);
+  const std::size_t eh = e + h;
+  alpha = nn::Tensor({b_count, m, n});
+  nn::Tensor concat({b_count, m, eh});
+  for (std::size_t b = 0; b < b_count; ++b) {
+    const float* dec_b = decoder.raw() + b * m * e;
+    const float* enc_b = encoder.raw() + b * n * h;
+    const float* key_b = keys.raw() + b * n * e;
+    float* alpha_b = alpha.raw() + b * m * n;
+    float* concat_b = concat.raw() + b * m * eh;
+    // scores[t, i] = D_t . K_i, written straight into the alpha tensor and
+    // softmaxed in place per row.
+    sgemm(Trans::kNo, Trans::kYes, m, n, e, dec_b, e, key_b, e, alpha_b, n,
+          false);
+    for (std::size_t t = 0; t < m; ++t) {
+      float* row = alpha_b + t * n;
+      float mx = -std::numeric_limits<float>::infinity();
+      for (std::size_t i = 0; i < n; ++i) mx = std::max(mx, row[i]);
+      float sum = 0.0f;
+      for (std::size_t i = 0; i < n; ++i) {
+        row[i] = std::exp(row[i] - mx);
+        sum += row[i];
+      }
+      for (std::size_t i = 0; i < n; ++i) row[i] /= sum;
+      // Concat left half: the decoder state itself.
+      std::memcpy(concat_b + t * eh, dec_b + t * e, e * sizeof(float));
+    }
+    // Contexts c_t = sum_i alpha_i E_i fill the right h columns of the
+    // concat rows (ldc = e + h places them after each D_t).
+    sgemm(Trans::kNo, Trans::kNo, m, h, n, alpha_b, n, enc_b, h,
+          concat_b + e, eh, false);
+  }
+  return concat;
+}
+
+nn::Tensor mix_backward(const nn::Tensor& grad_concat,
+                        const nn::Tensor& decoder, const nn::Tensor& encoder,
+                        const nn::Tensor& keys, const nn::Tensor& alpha,
+                        nn::Tensor* grad_encoder, nn::Tensor* grad_keys) {
+  const std::size_t b_count = decoder.dim(0);
+  const std::size_t m = decoder.dim(1), e = decoder.dim(2);
+  const std::size_t n = encoder.dim(1), h = encoder.dim(2);
+  const std::size_t eh = e + h;
+  nn::Tensor grad_decoder({b_count, m, e});
+  std::vector<float> dalpha(m * n);
+  for (std::size_t b = 0; b < b_count; ++b) {
+    const float* gz_b = grad_concat.raw() + b * m * eh;
+    const float* gc_b = gz_b + e;  // context-grad columns, lda = e + h
+    const float* enc_b = encoder.raw() + b * n * h;
+    const float* key_b = keys.raw() + b * n * e;
+    const float* dec_b = decoder.raw() + b * m * e;
+    const float* alpha_b = alpha.raw() + b * m * n;
+    float* gd_b = grad_decoder.raw() + b * m * e;
+    // Direct decoder-state gradient: the left e columns of the concat grad.
+    for (std::size_t t = 0; t < m; ++t)
+      std::memcpy(gd_b + t * e, gz_b + t * eh, e * sizeof(float));
+    // dalpha[t, i] = gc_t . E_i — strided view straight onto the context
+    // columns, no copy of the concat gradient.
+    sgemm(Trans::kNo, Trans::kYes, m, n, h, gc_b, eh, enc_b, h,
+          dalpha.data(), n, false);
+    if (grad_encoder != nullptr)  // context sum: ge += alpha^T gc
+      sgemm(Trans::kYes, Trans::kNo, n, h, m, alpha_b, n, gc_b, eh,
+            grad_encoder->raw() + b * n * h, h, true);
+    // Softmax backward in place: ds_i = alpha_i (dalpha_i - sum_j alpha_j
+    // dalpha_j); the dalpha buffer holds ds afterwards.
+    for (std::size_t t = 0; t < m; ++t) {
+      const float* ar = alpha_b + t * n;
+      float* dr = dalpha.data() + t * n;
+      float weighted = 0.0f;
+      for (std::size_t i = 0; i < n; ++i) weighted += ar[i] * dr[i];
+      for (std::size_t i = 0; i < n; ++i) dr[i] = ar[i] * (dr[i] - weighted);
+    }
+    // score = D_t . K_i backward: gd += ds K, gk += ds^T D.
+    sgemm(Trans::kNo, Trans::kNo, m, e, n, dalpha.data(), n, key_b, e, gd_b,
+          e, true);
+    if (grad_keys != nullptr)
+      sgemm(Trans::kYes, Trans::kNo, n, e, m, dalpha.data(), n, dec_b, e,
+            grad_keys->raw() + b * n * e, e, true);
+  }
+  return grad_decoder;
+}
+
+}  // namespace attention
 
 nn::Tensor Seq2SeqModel::decode_attention(const nn::Tensor& embedding,
                                           const nn::Tensor& encoder,
                                           const nn::Tensor& keys) {
-  const std::size_t b_count = embedding.dim(0);
-  const std::size_t n = encoder.dim(1);
-  const std::size_t m = config_.output_steps;
-  const std::size_t e = config_.embed;
-  const std::size_t h = config_.lstm_hidden;
-
   cached_decoder_ = decoder_lstm_.forward(repeat_embedding(embedding));
-
-  // Attention weights and contexts.
-  cached_alpha_ = nn::Tensor({b_count, m, n});
-  nn::Tensor concat({b_count, m, e + h});
-  if (attention_gemm_enabled()) {
-    const std::size_t eh = e + h;
-    for (std::size_t b = 0; b < b_count; ++b) {
-      const float* dec_b = cached_decoder_.raw() + b * m * e;
-      const float* enc_b = encoder.raw() + b * n * h;
-      const float* key_b = keys.raw() + b * n * e;
-      float* alpha_b = cached_alpha_.raw() + b * m * n;
-      float* concat_b = concat.raw() + b * m * eh;
-      // scores[t, i] = D_t . K_i, written straight into the alpha tensor and
-      // softmaxed in place per row.
-      sgemm(Trans::kNo, Trans::kYes, m, n, e, dec_b, e, key_b, e, alpha_b, n,
-            false);
-      for (std::size_t t = 0; t < m; ++t) {
-        float* row = alpha_b + t * n;
-        float mx = -std::numeric_limits<float>::infinity();
-        for (std::size_t i = 0; i < n; ++i) mx = std::max(mx, row[i]);
-        float sum = 0.0f;
-        for (std::size_t i = 0; i < n; ++i) {
-          row[i] = std::exp(row[i] - mx);
-          sum += row[i];
-        }
-        for (std::size_t i = 0; i < n; ++i) row[i] /= sum;
-        // Concat left half: the decoder state itself.
-        std::memcpy(concat_b + t * eh, dec_b + t * e, e * sizeof(float));
-      }
-      // Contexts c_t = sum_i alpha_i E_i fill the right h columns of the
-      // concat rows (ldc = e + h places them after each D_t).
-      sgemm(Trans::kNo, Trans::kNo, m, h, n, alpha_b, n, enc_b, h,
-            concat_b + e, eh, false);
-    }
-    return output_dense_.forward(concat);  // [B, m, A]
-  }
-  attn_scores_scratch_.resize(n);
-  float* const scores = attn_scores_scratch_.data();
-  for (std::size_t b = 0; b < b_count; ++b) {
-    for (std::size_t t = 0; t < m; ++t) {
-      // scores_i = D_t . K_i, softmaxed over i.
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::size_t i = 0; i < n; ++i) {
-        float s = 0.0f;
-        for (std::size_t k = 0; k < e; ++k)
-          s += cached_decoder_.at3(b, t, k) * keys.at3(b, i, k);
-        scores[i] = s;
-        mx = std::max(mx, s);
-      }
-      float sum = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) {
-        scores[i] = std::exp(scores[i] - mx);
-        sum += scores[i];
-      }
-      for (std::size_t i = 0; i < n; ++i)
-        cached_alpha_.at3(b, t, i) = scores[i] / sum;
-      // Context c_t = sum_i alpha_i E_i; output row = [D_t ; c_t].
-      for (std::size_t k = 0; k < e; ++k)
-        concat[(b * m + t) * (e + h) + k] = cached_decoder_.at3(b, t, k);
-      for (std::size_t hh = 0; hh < h; ++hh) {
-        float c = 0.0f;
-        for (std::size_t i = 0; i < n; ++i)
-          c += cached_alpha_.at3(b, t, i) * encoder.at3(b, i, hh);
-        concat[(b * m + t) * (e + h) + e + hh] = c;
-      }
-    }
-  }
-  return output_dense_.forward(concat);  // [B, m, A]
+  return output_dense_.forward(
+      attention::mix_forward(cached_decoder_, encoder, keys, cached_alpha_));
 }
 
 nn::Tensor Seq2SeqModel::forward_attention(const nn::Tensor& action_history,
@@ -366,7 +358,7 @@ nn::Tensor Seq2SeqModel::forward_attention(const nn::Tensor& action_history,
                                            const nn::Tensor& current_obs) {
   // Encoder states over the observation history, and their key projection.
   cached_encoder_ = obs_encoder_.forward(obs_history);  // [B, n, H]
-  cached_keys_ = project_keys(cached_encoder_);         // [B, n, E]
+  cached_keys_ = attention::project_keys(cached_encoder_, attn_w_);
 
   // Decoder input: summed action + current-observation embeddings,
   // repeated m times (the observation history enters via attention).
@@ -375,149 +367,18 @@ nn::Tensor Seq2SeqModel::forward_attention(const nn::Tensor& action_history,
   return decode_attention(embedding, cached_encoder_, cached_keys_);
 }
 
-nn::Tensor Seq2SeqModel::attention_mix_backward(const nn::Tensor& grad_concat,
-                                                const nn::Tensor& encoder,
-                                                const nn::Tensor& keys,
-                                                nn::Tensor* grad_encoder,
-                                                nn::Tensor* grad_keys) {
-  const std::size_t b_count = grad_concat.dim(0);
-  const std::size_t n = encoder.dim(1);
-  const std::size_t m = config_.output_steps;
-  const std::size_t e = config_.embed;
-  const std::size_t h = config_.lstm_hidden;
-
-  nn::Tensor grad_decoder({b_count, m, e});
-  const std::size_t eh = e + h;
-  if (attention_gemm_enabled()) {
-    attn_dalpha_scratch_.resize(m * n);
-    float* const dalpha = attn_dalpha_scratch_.data();
-    for (std::size_t b = 0; b < b_count; ++b) {
-      const float* gz_b = grad_concat.raw() + b * m * eh;
-      const float* gc_b = gz_b + e;  // context-grad columns, lda = e + h
-      const float* enc_b = encoder.raw() + b * n * h;
-      const float* key_b = keys.raw() + b * n * e;
-      const float* dec_b = cached_decoder_.raw() + b * m * e;
-      const float* alpha_b = cached_alpha_.raw() + b * m * n;
-      float* gd_b = grad_decoder.raw() + b * m * e;
-      // Direct decoder-state gradient: the left e columns of the concat grad.
-      for (std::size_t t = 0; t < m; ++t)
-        std::memcpy(gd_b + t * e, gz_b + t * eh, e * sizeof(float));
-      // dalpha[t, i] = gc_t . E_i — strided view straight onto the context
-      // columns, no copy of the concat gradient.
-      sgemm(Trans::kNo, Trans::kYes, m, n, h, gc_b, eh, enc_b, h, dalpha, n,
-            false);
-      if (grad_encoder != nullptr)  // context sum: ge += alpha^T gc
-        sgemm(Trans::kYes, Trans::kNo, n, h, m, alpha_b, n, gc_b, eh,
-              grad_encoder->raw() + b * n * h, h, true);
-      // Softmax backward in place: ds_i = alpha_i (dalpha_i - sum_j alpha_j
-      // dalpha_j); the dalpha buffer holds ds afterwards.
-      for (std::size_t t = 0; t < m; ++t) {
-        const float* ar = alpha_b + t * n;
-        float* dr = dalpha + t * n;
-        float weighted = 0.0f;
-        for (std::size_t i = 0; i < n; ++i) weighted += ar[i] * dr[i];
-        for (std::size_t i = 0; i < n; ++i) dr[i] = ar[i] * (dr[i] - weighted);
-      }
-      // score = D_t . K_i backward: gd += ds K, gk += ds^T D.
-      sgemm(Trans::kNo, Trans::kNo, m, e, n, dalpha, n, key_b, e, gd_b, e,
-            true);
-      if (grad_keys != nullptr)
-        sgemm(Trans::kYes, Trans::kNo, n, e, m, dalpha, n, dec_b, e,
-              grad_keys->raw() + b * n * e, e, true);
-    }
-    return grad_decoder;
-  }
-
-  // Retained scalar path (RLATTACK_ATTN_GEMM=0): same accumulation trees as
-  // the GEMM formulation above — fresh per-element accumulators added to the
-  // destination, no skip on exact-zero terms — so the two paths are
-  // bit-identical under the scalar GEMM kernel.
-  attn_dalpha_scratch_.resize(n);
-  float* const dalpha = attn_dalpha_scratch_.data();
-
-  for (std::size_t b = 0; b < b_count; ++b) {
-    for (std::size_t t = 0; t < m; ++t) {
-      const float* gz = grad_concat.raw() + (b * m + t) * eh;
-      // Direct decoder-state gradient from the concat split.
-      for (std::size_t k = 0; k < e; ++k) grad_decoder.at3(b, t, k) = gz[k];
-      const float* gc = gz + e;  // d loss / d context [H]
-
-      // d alpha_i = gc . E_i ; encoder grad from the context sum (only
-      // needed when the history branch is being propagated).
-      for (std::size_t i = 0; i < n; ++i) {
-        float da = 0.0f;
-        const float alpha = cached_alpha_.at3(b, t, i);
-        for (std::size_t hh = 0; hh < h; ++hh) {
-          da += gc[hh] * encoder.at3(b, i, hh);
-          if (grad_encoder != nullptr)
-            grad_encoder->at3(b, i, hh) += alpha * gc[hh];
-        }
-        dalpha[i] = da;
-      }
-      // Softmax backward: ds_i = alpha_i * (dalpha_i - sum_j alpha_j dalpha_j).
-      float weighted = 0.0f;
-      for (std::size_t i = 0; i < n; ++i)
-        weighted += cached_alpha_.at3(b, t, i) * dalpha[i];
-      for (std::size_t i = 0; i < n; ++i)
-        dalpha[i] = cached_alpha_.at3(b, t, i) * (dalpha[i] - weighted);
-      // score = D_t . K_i backward.
-      for (std::size_t k = 0; k < e; ++k) {
-        float acc = 0.0f;
-        for (std::size_t i = 0; i < n; ++i) acc += dalpha[i] * keys.at3(b, i, k);
-        grad_decoder.at3(b, t, k) += acc;
-      }
-      if (grad_keys != nullptr)
-        for (std::size_t i = 0; i < n; ++i)
-          for (std::size_t k = 0; k < e; ++k)
-            grad_keys->at3(b, i, k) += dalpha[i] * cached_decoder_.at3(b, t, k);
-    }
-  }
-  return grad_decoder;
-}
-
 Seq2SeqModel::InputGrads Seq2SeqModel::backward_attention(
     const nn::Tensor& grad_logits) {
-  const std::size_t b_count = cached_batch_;
-  const std::size_t n = config_.input_steps;
-  const std::size_t e = config_.embed;
-  const std::size_t h = config_.lstm_hidden;
-
   nn::Tensor grad_concat = output_dense_.backward(grad_logits);  // [B,m,E+H]
 
-  nn::Tensor grad_encoder({b_count, n, h});
-  nn::Tensor grad_keys({b_count, n, e});
-  nn::Tensor grad_decoder = attention_mix_backward(
-      grad_concat, cached_encoder_, cached_keys_, &grad_encoder, &grad_keys);
-
+  nn::Tensor grad_encoder(cached_encoder_.shape());
+  nn::Tensor grad_keys(cached_keys_.shape());
+  nn::Tensor grad_decoder = attention::mix_backward(
+      grad_concat, cached_decoder_, cached_encoder_, cached_keys_,
+      cached_alpha_, &grad_encoder, &grad_keys);
   // K = E W_a^T: accumulate W_a grads and the encoder grad through the keys.
-  if (attention_gemm_enabled()) {
-    // dW_a += gk^T E and ge += gk W_a over the flattened [B*n, .] views.
-    // (Bit-equal to the scalar path below for B*n within one K block of the
-    // GEMM blocking; beyond that the two agree to rounding.)
-    sgemm(Trans::kYes, Trans::kNo, e, h, b_count * n, grad_keys.raw(), e,
-          cached_encoder_.raw(), h, attn_w_grad_.raw(), h, true);
-    sgemm(Trans::kNo, Trans::kNo, b_count * n, h, e, grad_keys.raw(), e,
-          attn_w_.raw(), h, grad_encoder.raw(), h, true);
-  } else {
-    // Scalar path: fresh per-element accumulators over the contraction, then
-    // one add into the destination — the GEMM accumulation tree.
-    for (std::size_t k = 0; k < e; ++k)
-      for (std::size_t hh = 0; hh < h; ++hh) {
-        float acc = 0.0f;
-        for (std::size_t b = 0; b < b_count; ++b)
-          for (std::size_t i = 0; i < n; ++i)
-            acc += grad_keys.at3(b, i, k) * cached_encoder_.at3(b, i, hh);
-        attn_w_grad_[k * h + hh] += acc;
-      }
-    for (std::size_t b = 0; b < b_count; ++b)
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t hh = 0; hh < h; ++hh) {
-          float acc = 0.0f;
-          for (std::size_t k = 0; k < e; ++k)
-            acc += grad_keys.at3(b, i, k) * attn_w_[k * h + hh];
-          grad_encoder.at3(b, i, hh) += acc;
-        }
-  }
+  attention::project_keys_backward(grad_keys, cached_encoder_, attn_w_,
+                                   attn_w_grad_, grad_encoder);
 
   InputGrads grads;
   grads.obs_history = obs_encoder_.backward(grad_encoder);
@@ -554,127 +415,29 @@ HistoryEncoding Seq2SeqModel::encode_history(const nn::Tensor& action_history,
   }
   HistoryEncoding cache;
   cache.owner = this;
-  cache.batch = action_history.dim(0);
   cache.input_steps = n;
   cache.attention = config_.use_attention;
   if (!config_.use_attention) {
     // Same accumulation order as forward(): action embedding first, then
     // the observation embedding — (a + o) + c stays bit-identical when
-    // forward_cached later adds the current-observation embedding c.
+    // forward_cached_batch later adds the current-observation embedding c.
     cache.history_embedding = action_head_.forward(action_history);
     cache.history_embedding += obs_head_.forward(obs_history);
   } else {
     cache.encoder = obs_encoder_.forward(obs_history);  // [B, n, H]
-    cache.keys = project_keys(cache.encoder);           // [B, n, E]
+    cache.keys = attention::project_keys(cache.encoder, attn_w_);
     cache.action_embedding = action_head_.forward(action_history);
   }
   return cache;
 }
 
-nn::Tensor Seq2SeqModel::forward_cached(const HistoryEncoding& cache,
-                                        const nn::Tensor& current_obs) {
-  static rlattack::obs::SpanStat& span_stat =
-      rlattack::obs::MetricsRegistry::global().span("seq2seq.forward_cached");
-  rlattack::obs::Span span(span_stat);
-  if constexpr (util::kCheckedBuild) {
-    // Stale-cache detection: the encoding must come from *this* model
-    // (another instance's weights may differ) and describe the same batch
-    // and history length the craft is about to query.
-    RLATTACK_CHECK(cache.owner == this,
-                   "Seq2SeqModel::forward_cached: encoding from a different "
-                   "model instance");
-    RLATTACK_CHECK(cache.attention == config_.use_attention,
-                   "Seq2SeqModel::forward_cached: encoding decoder variant "
-                   "does not match the model");
-    RLATTACK_CHECK(cache.input_steps == config_.input_steps,
-                   "Seq2SeqModel::forward_cached: encoding input_steps " +
-                       std::to_string(cache.input_steps) +
-                       " != model input_steps " +
-                       std::to_string(config_.input_steps));
-    RLATTACK_CHECK(
-        current_obs.rank() == 2 && current_obs.dim(0) == cache.batch,
-        "Seq2SeqModel::forward_cached: current observation batch " +
-            current_obs.shape_string() + " does not match encoding batch " +
-            std::to_string(cache.batch));
-    RLATTACK_CHECK(util::all_finite(current_obs.data()),
-                   "Seq2SeqModel::forward_cached: non-finite current "
-                   "observation");
-  }
-  if (!cache.valid())
-    throw std::logic_error("Seq2SeqModel::forward_cached: invalid encoding");
-  if (current_obs.rank() != 2 || current_obs.dim(1) != config_.frame_size() ||
-      current_obs.dim(0) != cache.batch)
-    throw std::logic_error(
-        "Seq2SeqModel::forward_cached: bad current observation " +
-        current_obs.shape_string());
-  cached_batch_ = cache.batch;
-  active_cache_ = &cache;
-  active_batch_ = 0;
-  if (!config_.use_attention) {
-    nn::Tensor embedding = cache.history_embedding;
-    embedding += current_head_.forward(current_obs);
-    return decoder_.forward(repeat_embedding(embedding));  // [B, m, A]
-  }
-  nn::Tensor embedding = cache.action_embedding;
-  embedding += current_head_.forward(current_obs);
-  return decode_attention(embedding, cache.encoder, cache.keys);
-}
-
-nn::Tensor Seq2SeqModel::backward_to_current(const nn::Tensor& grad_logits) {
-  static rlattack::obs::SpanStat& span_stat =
-      rlattack::obs::MetricsRegistry::global().span(
-          "seq2seq.backward_to_current");
-  rlattack::obs::Span span(span_stat);
-  if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(active_cache_ != nullptr,
-                   "Seq2SeqModel::backward_to_current: no preceding "
-                   "forward_cached (the last forward was the full path)");
-    RLATTACK_CHECK(util::all_finite(grad_logits.data()),
-                   "Seq2SeqModel::backward_to_current: non-finite logits "
-                   "gradient");
-  }
-  if (active_cache_ == nullptr)
-    throw std::logic_error(
-        "Seq2SeqModel::backward_to_current: call forward_cached first");
-  if (grad_logits.rank() != 3 || grad_logits.dim(0) != cached_batch_ ||
-      grad_logits.dim(1) != config_.output_steps ||
-      grad_logits.dim(2) != config_.actions)
-    throw std::logic_error(
-        "Seq2SeqModel::backward_to_current: bad gradient shape " +
-        grad_logits.shape_string());
-  const HistoryEncoding& cache = *active_cache_;
-  active_cache_ = nullptr;  // one backward per forward_cached
-  nn::Tensor grad_current;
-  if (!config_.use_attention) {
-    nn::Tensor grad_repeated =
-        decoder_.backward_input(grad_logits);  // [B, m, E]
-    grad_current =
-        current_head_.backward_input(sum_over_steps(grad_repeated));
-  } else {
-    nn::Tensor grad_concat = output_dense_.backward_input(grad_logits);
-    // Truncate at the cache boundary: no encoder, key or attention-weight
-    // gradients — the histories are fixed for the whole craft.
-    nn::Tensor grad_decoder = attention_mix_backward(
-        grad_concat, cache.encoder, cache.keys, nullptr, nullptr);
-    nn::Tensor grad_repeated = decoder_lstm_.backward_input(grad_decoder);
-    grad_current =
-        current_head_.backward_input(sum_over_steps(grad_repeated));
-  }
-  if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(util::all_finite(grad_current.data()),
-                   "Seq2SeqModel::backward_to_current: non-finite "
-                   "current-obs gradient");
-  }
-  return grad_current;
-}
-
 std::vector<HistoryEncoding> Seq2SeqModel::encode_history_batch(
     const nn::Tensor& action_histories, const nn::Tensor& obs_histories) {
   // One shared pass over the packed histories; encode_history validates the
-  // shapes and runs the exact layer sequence of the single-row path, whose
-  // batch rows are all independent.
+  // shapes, and every history-head layer treats its batch rows
+  // independently.
   HistoryEncoding packed = encode_history(action_histories, obs_histories);
-  const std::size_t rows = packed.batch;
+  const std::size_t rows = action_histories.dim(0);
   const std::size_t n = config_.input_steps;
   const std::size_t e = config_.embed;
   const std::size_t h = config_.lstm_hidden;
@@ -682,7 +445,6 @@ std::vector<HistoryEncoding> Seq2SeqModel::encode_history_batch(
   for (std::size_t r = 0; r < rows; ++r) {
     HistoryEncoding& enc = out[r];
     enc.owner = this;
-    enc.batch = 1;
     enc.input_steps = n;
     enc.attention = packed.attention;
     if (!packed.attention) {
@@ -723,10 +485,10 @@ nn::Tensor Seq2SeqModel::forward_cached_batch(
         "Seq2SeqModel::forward_cached_batch: bad current observations " +
         current_obs.shape_string());
   for (const HistoryEncoding* cache : caches) {
-    if (cache == nullptr || !cache->valid() || cache->batch != 1)
+    if (cache == nullptr || !cache->valid())
       throw std::logic_error(
           "Seq2SeqModel::forward_cached_batch: every encoding must be a "
-          "valid batch-1 HistoryEncoding");
+          "valid HistoryEncoding");
     if constexpr (util::kCheckedBuild) {
       RLATTACK_CHECK(cache->owner == this,
                      "Seq2SeqModel::forward_cached_batch: encoding from a "
@@ -745,11 +507,10 @@ nn::Tensor Seq2SeqModel::forward_cached_batch(
                    "observations");
   }
   cached_batch_ = rows;
-  active_cache_ = nullptr;
   active_batch_ = rows;
-  // Gather the per-encoding history state into batch rows, then run the
-  // tail exactly as forward_cached does: history embedding first, plus the
-  // current-observation embedding — same per-row accumulation order.
+  // Gather the per-encoding history state into batch rows, then add the
+  // current-observation embedding: history embedding first, the same
+  // per-row accumulation order as the full forward.
   nn::Tensor embedding({rows, e});
   if (!config_.use_attention) {
     for (std::size_t r = 0; r < rows; ++r)
@@ -764,7 +525,7 @@ nn::Tensor Seq2SeqModel::forward_cached_batch(
   embedding += current_head_.forward(current_obs);
   // Per-encoding attention state: the score/context GEMMs inside
   // decode_attention read only row b's encoder/key block, so gathering the
-  // blocks into [N, n, .] tensors reuses the single-row code bit-for-bit.
+  // blocks into [N, n, .] tensors reuses the full path's code bit for bit.
   batch_encoder_ = nn::Tensor({rows, n, h});
   batch_keys_ = nn::Tensor({rows, n, e});
   for (std::size_t r = 0; r < rows; ++r) {
@@ -809,8 +570,11 @@ nn::Tensor Seq2SeqModel::backward_to_current_batch(
         current_head_.backward_input(sum_over_steps(grad_repeated));
   } else {
     nn::Tensor grad_concat = output_dense_.backward_input(grad_logits);
-    nn::Tensor grad_decoder = attention_mix_backward(
-        grad_concat, batch_encoder_, batch_keys_, nullptr, nullptr);
+    // Truncate at the encoding boundary: no encoder, key or attention-weight
+    // gradients — the histories are fixed for the whole craft.
+    nn::Tensor grad_decoder = attention::mix_backward(
+        grad_concat, cached_decoder_, batch_encoder_, batch_keys_,
+        cached_alpha_, nullptr, nullptr);
     nn::Tensor grad_repeated = decoder_lstm_.backward_input(grad_decoder);
     grad_current =
         current_head_.backward_input(sum_over_steps(grad_repeated));

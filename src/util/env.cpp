@@ -1,7 +1,6 @@
 #include "rlattack/util/env.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
 namespace rlattack::util::env {
 
@@ -51,11 +50,6 @@ std::optional<double> get_double(Var v) noexcept {
   const double value = std::strtod(raw, &end);
   if (end == raw || *end != '\0') return std::nullopt;
   return value;
-}
-
-bool is_zero(Var v) noexcept {
-  const char* raw = get(v);
-  return raw != nullptr && std::strcmp(raw, "0") == 0;
 }
 
 }  // namespace rlattack::util::env

@@ -43,8 +43,6 @@ namespace rlattack::util::env {
     "startup log level: debug|info|warn|error or 0-3; default info")           \
   X(kSimd, "RLATTACK_SIMD",                                                    \
     "GEMM micro-kernel selection: avx2|scalar|auto; default auto")             \
-  X(kAttnGemm, "RLATTACK_ATTN_GEMM",                                           \
-    "0 disables the GEMM-ified attention decoder (scalar parity path)")        \
   X(kMetrics, "RLATTACK_METRICS",                                              \
     "off|0|false disables telemetry recording at startup")                     \
   X(kMetricsOut, "RLATTACK_METRICS_OUT",                                       \
@@ -95,9 +93,5 @@ std::optional<long> get_long(Var v) noexcept;
 
 /// Strictly parsed double: the full value must parse, otherwise nullopt.
 std::optional<double> get_double(Var v) noexcept;
-
-/// "Kill switch" idiom: true iff the value is exactly "0". The attention
-/// GEMM knob is on unless explicitly zeroed.
-bool is_zero(Var v) noexcept;
 
 }  // namespace rlattack::util::env

@@ -7,8 +7,8 @@
 // discipline on every compile — including protocols the sanitizer matrix
 // can only validate on the interleavings a test happens to execute, such as
 // the planner's "flush inline under the planner mutex, never from a pool
-// worker" rule (RLATTACK_REQUIRES on flush_locked, RLATTACK_EXCLUDES on the
-// enroll/submit/retire API).
+// worker" rule (RLATTACK_REQUIRES on flush_ready_locked, RLATTACK_EXCLUDES
+// on the enroll/submit/retire API).
 //
 // Under any compiler without the attributes (gcc, MSVC) every macro expands
 // to nothing and util::Mutex / util::MutexLock compile down to the

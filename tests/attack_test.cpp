@@ -357,25 +357,24 @@ TEST(Attack, PredictActionsShape) {
   for (std::size_t a : actions) EXPECT_LT(a, 2u);
 }
 
-TEST(Attack, CraftContextMatchesFreeHelpersBitExactly) {
-  // One context answers all four queries at several distinct s_t rows.
-  // Every answer after the first is served from the history encoding the
-  // first query built, and each must equal the full-path free helper's
-  // bits at the same row.
-  auto model = trained_toy_model(/*m=*/2);
-  util::Rng rng(21);
-  CraftInputs inputs = toy_inputs(rng);
-  CraftContext ctx(*model, inputs);
+/// One context answers all five queries at several distinct s_t rows.
+/// Every answer after the first is served from the history encoding the
+/// first query built, and each must equal the full-path free helpers' bits
+/// at the same row.
+void expect_context_matches_free_helpers(CraftContext& ctx,
+                                         seq2seq::Seq2SeqModel& model,
+                                         const CraftInputs& inputs,
+                                         util::Rng& rng) {
   const std::vector<nn::Tensor> rows = {inputs.current_obs,
                                         random_tensor({1, 4}, rng),
                                         random_tensor({1, 4}, rng)};
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const nn::Tensor& obs = rows[r];
-    EXPECT_EQ(ctx.predict_actions(), predict_actions(*model, inputs))
-        << "row " << r;
+    const std::vector<std::size_t> predicted = predict_actions(model, inputs);
+    EXPECT_EQ(ctx.predict_actions(), predicted) << "row " << r;
     for (std::size_t position = 0; position < 2; ++position) {
       const auto cached_row = ctx.position_logits(position, obs);
-      const auto full_row = position_logits(*model, inputs, position, obs);
+      const auto full_row = position_logits(model, inputs, position, obs);
       ASSERT_EQ(cached_row.size(), full_row.size());
       for (std::size_t i = 0; i < full_row.size(); ++i)
         EXPECT_EQ(cached_row[i], full_row[i])
@@ -384,7 +383,7 @@ TEST(Attack, CraftContextMatchesFreeHelpersBitExactly) {
       const std::size_t action = (r + position) % 2;
       nn::Tensor cached_ce = ctx.current_obs_gradient(position, action, obs);
       nn::Tensor full_ce =
-          current_obs_gradient(*model, inputs, position, action, obs);
+          current_obs_gradient(model, inputs, position, action, obs);
       ASSERT_TRUE(cached_ce.same_shape(full_ce));
       for (std::size_t i = 0; i < full_ce.size(); ++i)
         EXPECT_EQ(cached_ce[i], full_ce[i])
@@ -392,47 +391,50 @@ TEST(Attack, CraftContextMatchesFreeHelpersBitExactly) {
 
       nn::Tensor cached_diff = ctx.logit_diff_gradient(position, 0, 1, obs);
       nn::Tensor full_diff =
-          logit_diff_gradient(*model, inputs, position, 0, 1, obs);
+          logit_diff_gradient(model, inputs, position, 0, 1, obs);
       ASSERT_TRUE(cached_diff.same_shape(full_diff));
       for (std::size_t i = 0; i < full_diff.size(); ++i)
         EXPECT_EQ(cached_diff[i], full_diff[i])
             << "row " << r << " position " << position << " diff grad " << i;
+
+      // The fused anchor probe: the clean prediction and the CE gradient
+      // against its action at `position`, from one tail pass.
+      auto [anchored, anchor_grad] =
+          ctx.anchored_gradient(position, inputs.current_obs);
+      EXPECT_EQ(anchored, predicted) << "row " << r;
+      nn::Tensor full_anchor = current_obs_gradient(
+          model, inputs, position, predicted[position], inputs.current_obs);
+      ASSERT_TRUE(anchor_grad.same_shape(full_anchor));
+      for (std::size_t i = 0; i < full_anchor.size(); ++i)
+        EXPECT_EQ(anchor_grad[i], full_anchor[i])
+            << "row " << r << " position " << position << " anchor grad "
+            << i;
     }
   }
+  // Out-of-range goal positions fail before any query is answered.
+  EXPECT_THROW(ctx.anchored_gradient(2, inputs.current_obs), std::logic_error);
+  EXPECT_THROW(ctx.current_obs_gradient(0, 2, inputs.current_obs),
+               std::logic_error);
 }
 
-TEST(Attack, AnchoredGradientFusedProbeMatchesSeparateQueriesBitExactly) {
-  // A single-participant planner flushes inline on every submit, so the
-  // fused kAnchorGradient probe can be exercised synchronously and compared
-  // against a fresh context asking predict + gradient separately.
+TEST(Attack, CraftContextMatchesFreeHelpersBitExactly) {
   auto model = trained_toy_model(/*m=*/2);
-  util::Rng rng(23);
+  util::Rng rng(21);
   CraftInputs inputs = toy_inputs(rng);
-
-  std::vector<std::size_t> ref_predicted;
-  nn::Tensor ref_grad;
   {
-    CraftContext ref(*model, inputs);
-    ref_predicted = ref.predict_actions();
-    ref_grad = ref.current_obs_gradient(1, ref_predicted[1],
-                                        inputs.current_obs);
+    SCOPED_TRACE("planner-less context");
+    CraftContext ctx(*model, inputs);
+    expect_context_matches_free_helpers(ctx, *model, inputs, rng);
   }
-
-  BatchedCraftPlanner planner(*model);
-  BatchedCraftPlanner::Participant participant(planner);
-  CraftContext fused(planner, inputs);
-  auto [predicted, grad] = fused.anchored_gradient(1, inputs.current_obs);
-  EXPECT_EQ(predicted, ref_predicted);
-  ASSERT_TRUE(grad.same_shape(ref_grad));
-  for (std::size_t i = 0; i < grad.size(); ++i)
-    EXPECT_EQ(grad[i], ref_grad[i]) << "fused grad " << i;
-
-  // Out-of-range goal positions fail identically to the unfused resolver.
-  EXPECT_THROW(fused.anchored_gradient(2, inputs.current_obs),
-               std::logic_error);
-  CraftContext unfused(*model, inputs);
-  EXPECT_THROW(unfused.anchored_gradient(2, inputs.current_obs),
-               std::logic_error);
+  {
+    // A one-participant planner flushes inline on every submit, so the
+    // rendezvous path runs synchronously.
+    SCOPED_TRACE("context over a one-participant planner");
+    BatchedCraftPlanner planner(*model);
+    BatchedCraftPlanner::Participant participant(planner);
+    CraftContext ctx(planner, inputs);
+    expect_context_matches_free_helpers(ctx, *model, inputs, rng);
+  }
 }
 
 }  // namespace

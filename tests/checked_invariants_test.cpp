@@ -12,12 +12,16 @@
 #include <thread>
 #include <vector>
 
+#include "deadline.hpp"
 #include "rlattack/attack/attack.hpp"
 #include "rlattack/attack/batch_planner.hpp"
+#include "rlattack/core/parallel_episodes.hpp"
 #include "rlattack/nn/dense.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/nn/sequential.hpp"
+#include "rlattack/rl/batch.hpp"
+#include "rlattack/rl/q_agent.hpp"
 #include "rlattack/seq2seq/model.hpp"
 #include "rlattack/util/check.hpp"
 #include "rlattack/util/rng.hpp"
@@ -209,69 +213,60 @@ TEST(CheckedInvariantsTest, CleanSeq2SeqRoundTripDoesNotTrip) {
   EXPECT_NO_THROW(model.backward(grad));
 }
 
-// --------------------------------------------- craft-cache staleness checks
+// --------------------------------------------- craft-path staleness checks
 
-TEST(CheckedInvariantsTest, ForwardCachedRejectsForeignEncoding) {
+/// One encoding of make_inputs()'s histories, minted by `model`.
+std::vector<seq2seq::HistoryEncoding> encode(seq2seq::Seq2SeqModel& model,
+                                             const attack::CraftInputs& in) {
+  return model.encode_history_batch(in.action_history, in.obs_history);
+}
+
+TEST(CheckedInvariantsTest, ForwardCachedBatchRejectsForeignEncoding) {
   // An encoding minted by one model must not drive another (a clone's
   // weights may have diverged since).
   auto model = make_model();
   auto other = make_model();
   auto inputs = make_inputs();
-  seq2seq::HistoryEncoding cache =
-      other.encode_history(inputs.action_history, inputs.obs_history);
-  EXPECT_THROW(model.forward_cached(cache, inputs.current_obs),
+  auto encodings = encode(other, inputs);
+  EXPECT_THROW(model.forward_cached_batch({&encodings[0]}, inputs.current_obs),
                util::CheckFailure);
 }
 
-TEST(CheckedInvariantsTest, ForwardCachedRejectsBatchMismatch) {
+TEST(CheckedInvariantsTest, ForwardCachedBatchRejectsTamperedInputSteps) {
   auto model = make_model();
   auto inputs = make_inputs();
-  seq2seq::HistoryEncoding cache =
-      model.encode_history(inputs.action_history, inputs.obs_history);
-  EXPECT_THROW(model.forward_cached(cache, nn::Tensor({2, 4})),
+  auto encodings = encode(model, inputs);
+  encodings[0].input_steps += 1;  // stale: history length no longer matches
+  EXPECT_THROW(model.forward_cached_batch({&encodings[0]}, inputs.current_obs),
                util::CheckFailure);
 }
 
-TEST(CheckedInvariantsTest, ForwardCachedRejectsTamperedInputSteps) {
+TEST(CheckedInvariantsTest, ForwardCachedBatchRejectsDecoderVariantMismatch) {
   auto model = make_model();
   auto inputs = make_inputs();
-  seq2seq::HistoryEncoding cache =
-      model.encode_history(inputs.action_history, inputs.obs_history);
-  cache.input_steps += 1;  // stale: history length no longer matches
-  EXPECT_THROW(model.forward_cached(cache, inputs.current_obs),
+  auto encodings = encode(model, inputs);
+  encodings[0].attention = !encodings[0].attention;
+  EXPECT_THROW(model.forward_cached_batch({&encodings[0]}, inputs.current_obs),
                util::CheckFailure);
 }
 
-TEST(CheckedInvariantsTest, ForwardCachedRejectsDecoderVariantMismatch) {
+TEST(CheckedInvariantsTest, ForwardCachedBatchRejectsNanRow) {
   auto model = make_model();
   auto inputs = make_inputs();
-  seq2seq::HistoryEncoding cache =
-      model.encode_history(inputs.action_history, inputs.obs_history);
-  cache.attention = !cache.attention;
-  EXPECT_THROW(model.forward_cached(cache, inputs.current_obs),
-               util::CheckFailure);
-}
-
-TEST(CheckedInvariantsTest, ForwardCachedRejectsNanObservation) {
-  auto model = make_model();
-  auto inputs = make_inputs();
-  seq2seq::HistoryEncoding cache =
-      model.encode_history(inputs.action_history, inputs.obs_history);
+  auto encodings = encode(model, inputs);
   inputs.current_obs[0] = kNaN;
-  EXPECT_THROW(model.forward_cached(cache, inputs.current_obs),
+  EXPECT_THROW(model.forward_cached_batch({&encodings[0]}, inputs.current_obs),
                util::CheckFailure);
 }
 
-TEST(CheckedInvariantsTest, EncodeHistoryRejectsNanHistory) {
+TEST(CheckedInvariantsTest, EncodeHistoryBatchRejectsNanHistory) {
   auto model = make_model();
   auto inputs = make_inputs();
   inputs.obs_history[2] = kNaN;
-  EXPECT_THROW(
-      model.encode_history(inputs.action_history, inputs.obs_history),
-      util::CheckFailure);
+  EXPECT_THROW(encode(model, inputs), util::CheckFailure);
 }
 
-TEST(CheckedInvariantsTest, BackwardToCurrentWithoutForwardCachedTrips) {
+TEST(CheckedInvariantsTest, BackwardToCurrentBatchWithoutCachedForwardTrips) {
   auto model = make_model();
   auto inputs = make_inputs();
   nn::Tensor logits = model.forward(inputs.action_history, inputs.obs_history,
@@ -280,15 +275,15 @@ TEST(CheckedInvariantsTest, BackwardToCurrentWithoutForwardCachedTrips) {
   grad.fill(0.5f);
   // The last forward was the *full* path; the truncated backward has no
   // encoding boundary to stop at.
-  EXPECT_THROW(model.backward_to_current(grad), util::CheckFailure);
+  EXPECT_THROW(model.backward_to_current_batch(grad), util::CheckFailure);
 }
 
-TEST(CheckedInvariantsTest, FullBackwardAfterForwardCachedTrips) {
+TEST(CheckedInvariantsTest, FullBackwardAfterCachedForwardTrips) {
   auto model = make_model();
   auto inputs = make_inputs();
-  seq2seq::HistoryEncoding cache =
-      model.encode_history(inputs.action_history, inputs.obs_history);
-  nn::Tensor logits = model.forward_cached(cache, inputs.current_obs);
+  auto encodings = encode(model, inputs);
+  nn::Tensor logits =
+      model.forward_cached_batch({&encodings[0]}, inputs.current_obs);
   nn::Tensor grad(logits.shape());
   grad.fill(0.5f);
   // The history heads never ran forward, so the full backward would be
@@ -299,12 +294,12 @@ TEST(CheckedInvariantsTest, FullBackwardAfterForwardCachedTrips) {
 TEST(CheckedInvariantsTest, CleanCachedRoundTripDoesNotTrip) {
   auto model = make_model();
   auto inputs = make_inputs();
-  seq2seq::HistoryEncoding cache =
-      model.encode_history(inputs.action_history, inputs.obs_history);
-  nn::Tensor logits = model.forward_cached(cache, inputs.current_obs);
+  auto encodings = encode(model, inputs);
+  nn::Tensor logits =
+      model.forward_cached_batch({&encodings[0]}, inputs.current_obs);
   nn::Tensor grad(logits.shape());
   grad.fill(0.25f);
-  EXPECT_NO_THROW(model.backward_to_current(grad));
+  EXPECT_NO_THROW(model.backward_to_current_batch(grad));
 }
 
 // ------------------------------------------------------ attack budget checks
@@ -361,6 +356,81 @@ TEST(CheckedInvariantsTest, BuiltInAttacksPassTheirOwnAudit) {
                                       {-5.0f, 5.0f}, rng))
         << attack::attack_name(kind);
   }
+}
+
+// ---------------------------------------------- failures in the rendezvous
+
+/// Attack that ignores its budget: it moves the first feature by 3, over
+/// the default L2 epsilon of 0.5, and skips the self-audit the built-in
+/// attacks run, so only the pipeline's trust boundary can catch it.
+class OverBudgetAttack final : public attack::Attack {
+ public:
+  using attack::Attack::perturb;
+  nn::Tensor perturb(attack::CraftContext& ctx, const attack::Goal&,
+                     const attack::Budget&, env::ObservationBounds,
+                     util::Rng&) override {
+    nn::Tensor out = ctx.inputs().current_obs;
+    out[0] += 3.0f;
+    return out;
+  }
+  std::string name() const override { return "over-budget"; }
+};
+
+TEST(CheckedInvariantsTest, OverBudgetAttackInRendezvousSurfacesCheckFailure) {
+  auto model = make_model();
+  rl::AgentPtr victim = rl::make_dqn_agent(rl::ObsSpec{{4}}, 2, 21);
+  attack::BatchedCraftPlanner planner(model);
+  planner.set_victim_handler(
+      [&victim](
+          std::span<attack::BatchedCraftPlanner::EvalProbe* const> probes) {
+        std::vector<const nn::Tensor*> rows(probes.size());
+        for (std::size_t r = 0; r < probes.size(); ++r)
+          rows[r] = probes[r]->observation;
+        const std::vector<std::size_t> actions =
+            victim->act_batch(rl::batch_observations(rows), false);
+        for (std::size_t r = 0; r < probes.size(); ++r)
+          probes[r]->action = actions[r];
+      });
+  OverBudgetAttack rogue;
+  attack::AttackPtr fgsm = attack::make_attack(attack::Kind::kFgsm);
+  const attack::Budget budget;  // L2, epsilon 0.5
+  core::AttackSession faulty(*victim, env::Game::kCartPole, model, rogue,
+                             budget);
+  core::AttackSession healthy(*victim, env::Game::kCartPole, model, *fgsm,
+                              budget);
+  core::AttackPolicy every_step;
+  every_step.mode = core::AttackPolicy::Mode::kEveryStep;
+  // Two hosts in one rendezvous: the rogue session's first attacked step
+  // trips the pipeline's check_perturbation, and the error surfaces from
+  // its run_episode while the other session plays on alone.
+  testing::within_deadline(std::chrono::seconds(120), [&] {
+    std::thread other([&] { (void)healthy.run_episode(every_step, 3, &planner); });
+    EXPECT_THROW(faulty.run_episode(every_step, 4, &planner),
+                 util::CheckFailure);
+    other.join();
+  });
+}
+
+TEST(CheckedInvariantsTest, NanApproximatorSurfacesFromRunEpisodeJobs) {
+  // A NaN weight in the approximator trips the layer output check inside
+  // the craft flush; every host waiting on that flush must see the
+  // CheckFailure, and run_episode_jobs rethrows it.
+  auto model = make_model();
+  (*model.params().front().value)[0] = kNaN;
+  rl::AgentPtr victim = rl::make_dqn_agent(rl::ObsSpec{{4}}, 2, 21);
+  std::vector<core::EpisodeJob> jobs;
+  for (std::uint64_t seed = 10; seed < 16; ++seed) {
+    core::EpisodeJob job;
+    job.attack = attack::Kind::kFgsm;
+    job.policy.mode = core::AttackPolicy::Mode::kEveryStep;
+    job.seed = seed;
+    jobs.push_back(job);
+  }
+  testing::within_deadline(std::chrono::seconds(120), [&] {
+    EXPECT_THROW(
+        core::run_episode_jobs(*victim, env::Game::kCartPole, model, jobs),
+        util::CheckFailure);
+  });
 }
 
 // ------------------------------------------------------ rendezvous watchdog

@@ -11,18 +11,25 @@
 #include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <filesystem>
+#include <stdexcept>
+#include <thread>
 
+#include "deadline.hpp"
 #include "rlattack/attack/batch_planner.hpp"
 #include "rlattack/core/experiments.hpp"
 #include "rlattack/obs/forensics.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/obs/trace.hpp"
 #include "rlattack/rl/agent.hpp"
+#include "rlattack/rl/batch.hpp"
 #include "rlattack/seq2seq/model.hpp"
 
 namespace rlattack::core {
 namespace {
+
+using rlattack::testing::within_deadline;
 
 class ExperimentsParallelTest : public ::testing::Test {
  protected:
@@ -501,6 +508,158 @@ TEST_F(ExperimentsParallelTest, SerialOracleForensicsAttribution) {
 
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(driven, serial);
+}
+
+// --- Failure containment -------------------------------------------------
+//
+// An exception anywhere in the rendezvous — the victim inside a flush, an
+// attack on its host — must surface as that exception in the caller, in
+// bounded time, without parking the other episodes or terminating the
+// process.
+
+struct VictimFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Victim decorator whose k-th act_batch call throws. act_batch only runs
+/// inside a flush, one thread at a time, so the count needs no lock.
+class ThrowingVictim final : public rl::Agent {
+ public:
+  ThrowingVictim(rl::Agent& inner, std::size_t throw_on)
+      : inner_(inner), throw_on_(throw_on) {}
+  std::size_t act(const nn::Tensor& observation, bool explore) override {
+    return inner_.act(observation, explore);
+  }
+  std::vector<std::size_t> act_batch(const nn::Tensor& observations,
+                                     bool explore) override {
+    if (++calls_ == throw_on_)
+      throw VictimFault("act_batch call " + std::to_string(calls_));
+    return inner_.act_batch(observations, explore);
+  }
+  void learn(const nn::Tensor&, std::size_t, double, const nn::Tensor&,
+             bool) override {}
+  std::string algorithm() const override { return inner_.algorithm(); }
+  nn::Layer& network() override { return inner_.network(); }
+  std::size_t action_count() const override { return inner_.action_count(); }
+  std::unique_ptr<rl::Agent> clone() override { return inner_.clone(); }
+
+ private:
+  rl::Agent& inner_;
+  std::size_t throw_on_;
+  std::size_t calls_ = 0;
+};
+
+TEST_F(ExperimentsParallelTest, ContainmentVictimThrowingInFlushSurfaces) {
+  Zoo zoo = make_tiny_zoo();
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  ApproximatorInfo approx =
+      zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1);
+  const std::vector<EpisodeJob> jobs = reward_jobs(
+      {attack::Kind::kFgsm, attack::Kind::kPgd}, {0.0f, 0.5f}, /*runs=*/3,
+      /*seed=*/7000, /*random_position=*/false);
+  ThrowingVictim faulty(victim, /*throw_on=*/5);
+  within_deadline(std::chrono::seconds(120), [&] {
+    EXPECT_THROW(
+        run_episode_jobs(faulty, env::Game::kCartPole, *approx.model, jobs),
+        VictimFault);
+  });
+  // Nothing of the failed call lingers: the same victim and model run the
+  // list cleanly and still match the serial oracle.
+  within_deadline(std::chrono::seconds(120), [&] {
+    expect_driver_matches_oracle(victim, *approx.model, jobs);
+  });
+}
+
+struct AttackFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Zero-perturbation attack that queries the model and throws on its k-th
+/// craft.
+class ThrowingAttack final : public attack::Attack {
+ public:
+  explicit ThrowingAttack(std::size_t throw_on) : throw_on_(throw_on) {}
+  using attack::Attack::perturb;
+  nn::Tensor perturb(attack::CraftContext& ctx, const attack::Goal&,
+                     const attack::Budget&, env::ObservationBounds,
+                     util::Rng&) override {
+    (void)ctx.predict_actions();
+    if (++calls_ == throw_on_)
+      throw AttackFault("craft " + std::to_string(calls_));
+    return ctx.inputs().current_obs;
+  }
+  std::string name() const override { return "throwing"; }
+
+ private:
+  std::size_t throw_on_;
+  std::size_t calls_ = 0;
+};
+
+TEST_F(ExperimentsParallelTest, ContainmentAttackThrowingMidEpisodeSurfaces) {
+  Zoo zoo = make_tiny_zoo();
+  rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  ApproximatorInfo approx =
+      zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1);
+  seq2seq::Seq2SeqModel& model = *approx.model;
+  const attack::Budget budget{attack::Budget::Norm::kL2, 0.5f};
+  AttackPolicy every_step;
+  every_step.mode = AttackPolicy::Mode::kEveryStep;
+
+  // Two sessions in one rendezvous, on two hosts: the one whose attack
+  // throws on its third craft sees its exception; the other plays its
+  // episode to the end with the same outcome as alone.
+  attack::BatchedCraftPlanner planner(model);
+  planner.set_victim_handler(
+      [&victim](
+          std::span<attack::BatchedCraftPlanner::EvalProbe* const> probes) {
+        std::vector<const nn::Tensor*> rows(probes.size());
+        for (std::size_t r = 0; r < probes.size(); ++r)
+          rows[r] = probes[r]->observation;
+        const std::vector<std::size_t> actions =
+            victim.act_batch(rl::batch_observations(rows), false);
+        for (std::size_t r = 0; r < probes.size(); ++r)
+          probes[r]->action = actions[r];
+      });
+  ThrowingAttack thrower(/*throw_on=*/3);
+  attack::AttackPtr fgsm = attack::make_attack(attack::Kind::kFgsm);
+  AttackSession faulty(victim, env::Game::kCartPole, model, thrower, budget);
+  AttackSession healthy(victim, env::Game::kCartPole, model, *fgsm, budget);
+  EpisodeOutcome shared;
+  within_deadline(std::chrono::seconds(120), [&] {
+    std::thread other(
+        [&] { shared = healthy.run_episode(every_step, 7100, &planner); });
+    EXPECT_THROW(faulty.run_episode(every_step, 7101, &planner), AttackFault);
+    other.join();
+  });
+  expect_outcomes_bit_identical({shared},
+                                {healthy.run_episode(every_step, 7100)});
+
+  // Through the driver, an attack that throws mid-episode: a time-bomb job
+  // aimed at an action CartPole does not have fails at its trigger step,
+  // while the other jobs are enrolled in the same rendezvous.
+  std::vector<EpisodeJob> jobs = reward_jobs(
+      {attack::Kind::kFgsm, attack::Kind::kPgd}, {0.0f, 0.5f}, /*runs=*/2,
+      /*seed=*/7200, /*random_position=*/false);
+  EpisodeJob bomb;
+  bomb.attack = attack::Kind::kFgsm;
+  bomb.budget = attack::Budget{attack::Budget::Norm::kLinf, 0.3f};
+  bomb.policy.mode = AttackPolicy::Mode::kSingleStep;
+  bomb.policy.trigger_step = model.config().input_steps + 2;
+  bomb.policy.goal_mode = attack::Goal::Mode::kTargeted;
+  bomb.policy.runner_up_target = false;
+  bomb.policy.target_action = 7;
+  bomb.seed = 7300;
+  jobs.insert(jobs.begin() + 3, bomb);
+  within_deadline(std::chrono::seconds(120), [&] {
+    try {
+      (void)run_episode_jobs(victim, env::Game::kCartPole, model, jobs);
+      ADD_FAILURE() << "run_episode_jobs returned";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("current_obs_gradient"),
+                std::string::npos)
+          << e.what();
+    }
+  });
 }
 
 // The instrumentation that rode along with the experiment above actually

@@ -1,6 +1,8 @@
 // LSTM correctness: shapes, both output modes, full BPTT gradient checks.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "gradcheck.hpp"
 #include "rlattack/nn/lstm.hpp"
 #include "rlattack/nn/sequential.hpp"
@@ -87,6 +89,13 @@ struct LstmShape {
   std::size_t batch, steps, in, hidden;
   bool sequences;
 };
+
+// gtest would print the struct's raw bytes, padding included, into the
+// ctest names gtest_discover_tests registers; print the fields instead.
+void PrintTo(const LstmShape& s, std::ostream* os) {
+  *os << "batch " << s.batch << " steps " << s.steps << " in " << s.in
+      << " hidden " << s.hidden << (s.sequences ? " sequences" : " last");
+}
 
 class LstmGradCheck : public ::testing::TestWithParam<LstmShape> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "gradcheck.hpp"
 #include "rlattack/env/cartpole.hpp"
@@ -272,6 +273,12 @@ struct AlgoCase {
   Algorithm algorithm;
   double target;
 };
+
+// gtest would print the struct's raw bytes, padding included, into the
+// ctest names gtest_discover_tests registers; print the fields instead.
+void PrintTo(const AlgoCase& c, std::ostream* os) {
+  *os << algorithm_name(c.algorithm) << " target " << c.target;
+}
 
 class AgentLearnsCartPole : public ::testing::TestWithParam<AlgoCase> {};
 

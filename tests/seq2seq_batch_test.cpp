@@ -1,12 +1,14 @@
-// Bit-identity contract of the batched craft substrate: packing N
-// independent (history encoding, s_t) tails into one forward_cached_batch /
-// backward_to_current_batch must return, per row, EXACTLY the floats the N
-// single-row calls return. The per-row GEMM K-accumulation order is fixed
-// by the kernel's cache blocking alone (independent of M and of thread
-// count), and every tail layer is row-independent, so the contract is exact
-// equality — not tolerance — across pooling/attention decoders, vector and
-// image observations, batch sizes and both SIMD kernels. Registered with
-// CTest under RLATTACK_THREADS=1 and =4 like kernels_test.
+// Bit-identity contract of the craft path, the approximator's only cached
+// API: N independent (history encoding, s_t) tails packed into one
+// forward_cached_batch / backward_to_current_batch must return, per row,
+// EXACTLY the floats of that row's full forward and backward(g).current_obs.
+// The per-row GEMM K-accumulation order is fixed by the kernel's cache
+// blocking alone (independent of M and of thread count), and every layer
+// treats its batch rows independently, so the contract is exact equality —
+// not tolerance — across pooling/attention decoders, vector and image
+// observations, batch sizes, reuse of one set of encodings and both SIMD
+// kernels. Registered with CTest under RLATTACK_THREADS=1 and =4 like
+// kernels_test.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -63,54 +65,56 @@ void expect_batch_parity(bool attention, bool image, std::size_t rows) {
 
   nn::Tensor actions = random_tensor({rows, n, a}, rng);
   nn::Tensor observations = random_tensor({rows, n, f}, rng);
-  nn::Tensor current = random_tensor({rows, f}, rng);
-  nn::Tensor grad_logits = random_tensor({rows, m, a}, rng);
-  // Every third row gets a zero gradient — a forward-only probe in a mixed
-  // flush. Its gradient row must come back exactly zero without disturbing
-  // the neighbouring rows' bits.
-  for (std::size_t r = 2; r < rows; r += 3)
-    std::memset(grad_logits.raw() + r * m * a, 0, m * a * sizeof(float));
-
-  // Reference: N fully independent single-row tails.
-  std::vector<nn::Tensor> ref_logits;
-  std::vector<nn::Tensor> ref_grads;
-  for (std::size_t r = 0; r < rows; ++r) {
-    HistoryEncoding enc = model.encode_history(slice_row(actions, r),
-                                               slice_row(observations, r));
-    ref_logits.push_back(model.forward_cached(enc, slice_row(current, r)));
-    model.zero_grad();
-    ref_grads.push_back(model.backward_to_current(slice_row(grad_logits, r)));
-  }
-  model.zero_grad();
-
-  // Batched substrate: one encode, one shared tail forward, one shared
-  // tail backward.
   std::vector<HistoryEncoding> encodings =
       model.encode_history_batch(actions, observations);
   ASSERT_EQ(encodings.size(), rows);
   std::vector<const HistoryEncoding*> caches;
   caches.reserve(rows);
   for (const HistoryEncoding& enc : encodings) caches.push_back(&enc);
-  nn::Tensor logits = model.forward_cached_batch(caches, current);
-  nn::Tensor grads = model.backward_to_current_batch(grad_logits);
-  model.zero_grad();
 
-  ASSERT_EQ(logits.rank(), 3u);
-  ASSERT_EQ(logits.dim(0), rows);
-  ASSERT_EQ(grads.rank(), 2u);
-  ASSERT_EQ(grads.dim(0), rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    SCOPED_TRACE("row " + std::to_string(r));
-    for (std::size_t t = 0; t < m; ++t)
-      for (std::size_t k = 0; k < a; ++k)
-        ASSERT_EQ(logits.at3(r, t, k), ref_logits[r].at3(0, t, k))
-            << "logit [" << t << ", " << k << "]";
-    for (std::size_t i = 0; i < f; ++i)
-      ASSERT_EQ(grads.at2(r, i), ref_grads[r].at2(0, i)) << "grad " << i;
+  // Three rounds over the one set of encodings, each at new s_t rows — the
+  // PGD reuse pattern.
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    nn::Tensor current = random_tensor({rows, f}, rng);
+    nn::Tensor grad_logits = random_tensor({rows, m, a}, rng);
+    // Every third row gets a zero gradient — a forward-only probe in a
+    // mixed batch. Its gradient row must come back exactly zero without
+    // disturbing the neighbouring rows' bits.
+    for (std::size_t r = 2; r < rows; r += 3)
+      std::memset(grad_logits.raw() + r * m * a, 0, m * a * sizeof(float));
+
+    nn::Tensor logits = model.forward_cached_batch(caches, current);
+    nn::Tensor grads = model.backward_to_current_batch(grad_logits);
+    ASSERT_EQ(logits.rank(), 3u);
+    ASSERT_EQ(logits.dim(0), rows);
+    ASSERT_EQ(grads.rank(), 2u);
+    ASSERT_EQ(grads.dim(0), rows);
+
+    // Reference: each row alone through the full forward and backward.
+    for (std::size_t r = 0; r < rows; ++r) {
+      SCOPED_TRACE("row " + std::to_string(r));
+      nn::Tensor ref_logits =
+          model.forward(slice_row(actions, r), slice_row(observations, r),
+                        slice_row(current, r));
+      nn::Tensor ref_grad =
+          model.backward(slice_row(grad_logits, r)).current_obs;
+      for (std::size_t t = 0; t < m; ++t)
+        for (std::size_t k = 0; k < a; ++k)
+          ASSERT_EQ(logits.at3(r, t, k), ref_logits.at3(0, t, k))
+              << "logit [" << t << ", " << k << "]";
+      for (std::size_t i = 0; i < f; ++i)
+        ASSERT_EQ(grads.at2(r, i), ref_grad.at2(0, i)) << "grad " << i;
+      if (r % 3 == 2) {
+        for (std::size_t i = 0; i < f; ++i)
+          ASSERT_EQ(grads.at2(r, i), 0.0f) << "zero-gradient row, grad " << i;
+      }
+    }
+    model.zero_grad();
   }
 }
 
-TEST(Seq2SeqBatchedCraft, MatchesSingleRowTailBitExact) {
+TEST(Seq2SeqBatchedCraft, MatchesFullPathRowByRowBitExact) {
   namespace kernels = rlattack::nn::kernels;
   const kernels::SimdKernel saved = kernels::active_simd_kernel();
   // When auto-resolution landed on scalar the host lacks AVX2/FMA; forcing

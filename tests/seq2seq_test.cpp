@@ -7,10 +7,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <tuple>
 
+#include "attention_reference.hpp"
 #include "gradcheck.hpp"
 #include "rlattack/attack/attack.hpp"
 #include "rlattack/attack/batch_planner.hpp"
@@ -140,180 +142,108 @@ TEST(Seq2SeqModel, ImageConfigForwardAndGradient) {
   EXPECT_TRUE(grads.current_obs.same_shape(current));
 }
 
-/// The craft-context cache contract: forward_cached over one encoding must
-/// reproduce the full forward bit for bit, and backward_to_current must
-/// return exactly backward(g).current_obs — for every decoder variant and
-/// observation kind, and across repeated reuse of the same encoding.
-void expect_cached_path_bit_identical(const Seq2SeqConfig& cfg,
-                                      std::uint64_t seed) {
-  Seq2SeqModel model(cfg, seed);
-  util::Rng rng(seed + 1);
-  const std::size_t b = 2;
-  nn::Tensor actions =
-      random_tensor({b, cfg.input_steps, cfg.actions}, rng);
-  nn::Tensor obs = random_tensor({b, cfg.input_steps, cfg.frame_size()}, rng);
-  nn::Tensor current = random_tensor({b, cfg.frame_size()}, rng);
-  nn::Tensor grad_logits =
-      random_tensor({b, cfg.output_steps, cfg.actions}, rng);
-
-  nn::Tensor full_logits = model.forward(actions, obs, current);
-  model.zero_grad();
-  nn::Tensor full_grad = model.backward(grad_logits).current_obs;
-  model.zero_grad();
-
-  HistoryEncoding cache = model.encode_history(actions, obs);
-  ASSERT_TRUE(cache.valid());
-  // Three rounds over one encoding — the PGD reuse pattern.
-  for (int round = 0; round < 3; ++round) {
-    nn::Tensor logits = model.forward_cached(cache, current);
-    ASSERT_TRUE(logits.same_shape(full_logits));
-    for (std::size_t i = 0; i < logits.size(); ++i)
-      ASSERT_EQ(logits[i], full_logits[i])
-          << "cached logit differs at " << i << " (round " << round << ")";
-    model.zero_grad();
-    nn::Tensor grad = model.backward_to_current(grad_logits);
-    model.zero_grad();
-    ASSERT_TRUE(grad.same_shape(full_grad));
-    for (std::size_t i = 0; i < grad.size(); ++i)
-      ASSERT_EQ(grad[i], full_grad[i])
-          << "cached current-obs grad differs at " << i << " (round "
-          << round << ")";
+/// The attention-GEMM contract: the GEMM formulation of the attention
+/// decoder (seq2seq::attention) must reproduce the scalar per-(b, t) loops
+/// of tests/attention_reference.hpp bit for bit — the key projection, the
+/// mix forward (alpha and the concat rows) and the mix backward (decoder,
+/// encoder, key and W_a gradients). Exact equality is defined under the
+/// scalar GEMM kernel (the AVX2 kernel's FMA rounds once per term, so
+/// across SIMD kernels results agree only to rounding).
+struct ScalarKernelGuard {
+  nn::kernels::SimdKernel saved = nn::kernels::active_simd_kernel();
+  ScalarKernelGuard() {
+    nn::kernels::set_simd_kernel(nn::kernels::SimdKernel::kScalar);
   }
-}
-
-/// The attention-GEMM contract: the batched-GEMM formulation of the
-/// attention decoder must reproduce the retained scalar per-(b, t) loops bit
-/// for bit — logits, every input gradient, and every parameter gradient —
-/// on both the full and the cached craft path. Exact equality is defined
-/// under the scalar GEMM kernel (the AVX2 kernel's FMA rounds once per term,
-/// so across SIMD kernels results agree only to rounding).
-struct AttnGemmGuard {
-  nn::kernels::SimdKernel saved_kernel = nn::kernels::active_simd_kernel();
-  bool saved_gemm = attention_gemm_enabled();
-  ~AttnGemmGuard() {
-    nn::kernels::set_simd_kernel(saved_kernel);
-    set_attention_gemm_enabled(saved_gemm);
-  }
+  ~ScalarKernelGuard() { nn::kernels::set_simd_kernel(saved); }
 };
 
-void expect_attention_gemm_bit_identical(const Seq2SeqConfig& cfg,
-                                         std::uint64_t seed) {
-  AttnGemmGuard guard;
-  nn::kernels::set_simd_kernel(nn::kernels::SimdKernel::kScalar);
-  Seq2SeqModel model(cfg, seed);
-  util::Rng rng(seed + 1);
-  const std::size_t b = 2;
-  nn::Tensor actions = random_tensor({b, cfg.input_steps, cfg.actions}, rng);
-  nn::Tensor obs = random_tensor({b, cfg.input_steps, cfg.frame_size()}, rng);
-  nn::Tensor current = random_tensor({b, cfg.frame_size()}, rng);
-  nn::Tensor grad_logits =
-      random_tensor({b, cfg.output_steps, cfg.actions}, rng);
-
-  struct PathResult {
-    nn::Tensor logits, ga, go, gc;
-    std::vector<nn::Tensor> param_grads;
-    nn::Tensor cached_logits, cached_grad;
-  };
-  auto run = [&](bool gemm) {
-    set_attention_gemm_enabled(gemm);
-    PathResult r;
-    r.logits = model.forward(actions, obs, current);
-    model.zero_grad();
-    auto grads = model.backward(grad_logits);
-    r.ga = std::move(grads.action_history);
-    r.go = std::move(grads.obs_history);
-    r.gc = std::move(grads.current_obs);
-    for (const nn::Param& p : model.params()) r.param_grads.push_back(*p.grad);
-    model.zero_grad();
-    HistoryEncoding cache = model.encode_history(actions, obs);
-    r.cached_logits = model.forward_cached(cache, current);
-    r.cached_grad = model.backward_to_current(grad_logits);
-    model.zero_grad();
-    return r;
-  };
-  PathResult gemm = run(true);
-  PathResult scalar = run(false);
-
-  auto expect_bits = [](const nn::Tensor& got, const nn::Tensor& want,
-                        const char* what) {
-    ASSERT_TRUE(got.same_shape(want)) << what;
-    for (std::size_t i = 0; i < got.size(); ++i)
-      ASSERT_EQ(got[i], want[i]) << what << " differs at " << i;
-  };
-  expect_bits(gemm.logits, scalar.logits, "logits");
-  expect_bits(gemm.ga, scalar.ga, "action-history grad");
-  expect_bits(gemm.go, scalar.go, "obs-history grad");
-  expect_bits(gemm.gc, scalar.gc, "current-obs grad");
-  expect_bits(gemm.cached_logits, scalar.cached_logits, "cached logits");
-  expect_bits(gemm.cached_grad, scalar.cached_grad, "cached current grad");
-  ASSERT_EQ(gemm.param_grads.size(), scalar.param_grads.size());
-  const auto& params = model.params();
-  for (std::size_t i = 0; i < gemm.param_grads.size(); ++i)
-    expect_bits(gemm.param_grads[i], scalar.param_grads[i],
-                params[i].name.c_str());
+void expect_bits(const nn::Tensor& got, const nn::Tensor& want,
+                 const char* what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << what << " differs at " << i;
 }
 
-TEST(Seq2SeqAttentionGemm, AttentionVectorBitIdentical) {
-  Seq2SeqConfig cfg = tiny_config(3, 2);
-  cfg.use_attention = true;
-  expect_attention_gemm_bit_identical(cfg, 15);
+struct AttentionShape {
+  std::size_t b, n, m, e, h;
+};
+
+// Prints the fields into the ctest names gtest_discover_tests registers.
+void PrintTo(const AttentionShape& s, std::ostream* os) {
+  *os << "B " << s.b << " n " << s.n << " m " << s.m << " E " << s.e
+      << " H " << s.h;
 }
 
-TEST(Seq2SeqAttentionGemm, AttentionImageBitIdentical) {
-  Seq2SeqConfig cfg =
-      make_atari_seq2seq_config({1, 8, 8}, 3, /*n=*/2, /*m=*/2);
-  cfg.embed = 8;
-  cfg.lstm_hidden = 6;
-  cfg.use_attention = true;
-  expect_attention_gemm_bit_identical(cfg, 16);
+class Seq2SeqAttentionGemm : public ::testing::TestWithParam<AttentionShape> {
+ protected:
+  void SetUp() override {
+    const AttentionShape& s = GetParam();
+    util::Rng rng(s.b * 1000 + s.n * 100 + s.m * 10 + s.e + s.h);
+    encoder = random_tensor({s.b, s.n, s.h}, rng);
+    w = random_tensor({s.e, s.h}, rng);
+    decoder = random_tensor({s.b, s.m, s.e}, rng);
+    grad_concat = random_tensor({s.b, s.m, s.e + s.h}, rng);
+    keys = testing::attention_ref::project_keys(encoder, w);
+  }
+  ScalarKernelGuard guard;
+  nn::Tensor encoder, w, decoder, grad_concat, keys;
+};
+
+TEST_P(Seq2SeqAttentionGemm, KeyProjectionMatchesScalarReference) {
+  expect_bits(attention::project_keys(encoder, w), keys, "keys");
 }
 
-TEST(Seq2SeqAttentionGemm, PoolingVectorBitIdentical) {
-  // Pooling decoders never touch the attention code; the toggle must be a
-  // strict no-op for them.
-  expect_attention_gemm_bit_identical(tiny_config(3, 2), 17);
+TEST_P(Seq2SeqAttentionGemm, MixForwardMatchesScalarReference) {
+  nn::Tensor alpha, ref_alpha;
+  const nn::Tensor concat =
+      attention::mix_forward(decoder, encoder, keys, alpha);
+  const nn::Tensor ref_concat =
+      testing::attention_ref::mix_forward(decoder, encoder, keys, ref_alpha);
+  expect_bits(alpha, ref_alpha, "alpha");
+  expect_bits(concat, ref_concat, "concat rows");
 }
 
-TEST(Seq2SeqAttentionGemm, PoolingImageBitIdentical) {
-  Seq2SeqConfig cfg =
-      make_atari_seq2seq_config({1, 8, 8}, 3, /*n=*/2, /*m=*/2);
-  cfg.embed = 8;
-  cfg.lstm_hidden = 6;
-  expect_attention_gemm_bit_identical(cfg, 18);
+TEST_P(Seq2SeqAttentionGemm, MixBackwardMatchesScalarReference) {
+  nn::Tensor alpha;
+  (void)testing::attention_ref::mix_forward(decoder, encoder, keys, alpha);
+  // As in the model's full backward: the mix fills zeroed encoder and key
+  // gradients, then the key projection adds into the encoder gradient and
+  // into W_a's gradient, which already holds an earlier batch's sum.
+  util::Rng rng(7);
+  const nn::Tensor w_grad_before = random_tensor(w.shape(), rng);
+  nn::Tensor ge(encoder.shape()), gk(keys.shape()), gw = w_grad_before;
+  nn::Tensor ref_ge(encoder.shape()), ref_gk(keys.shape()),
+      ref_gw = w_grad_before;
+  const nn::Tensor gd = attention::mix_backward(grad_concat, decoder, encoder,
+                                                keys, alpha, &ge, &gk);
+  const nn::Tensor ref_gd = testing::attention_ref::mix_backward(
+      grad_concat, decoder, encoder, keys, alpha, &ref_ge, &ref_gk);
+  expect_bits(gd, ref_gd, "decoder grad");
+  expect_bits(gk, ref_gk, "key grad");
+  expect_bits(ge, ref_ge, "encoder grad (context sum)");
+  attention::project_keys_backward(gk, encoder, w, gw, ge);
+  testing::attention_ref::project_keys_backward(ref_gk, encoder, w, ref_gw,
+                                                ref_ge);
+  expect_bits(gw, ref_gw, "W_a grad");
+  expect_bits(ge, ref_ge, "encoder grad");
+  // The truncated craft backward skips the history branch and returns the
+  // same decoder gradient.
+  expect_bits(attention::mix_backward(grad_concat, decoder, encoder, keys,
+                                      alpha, nullptr, nullptr),
+              ref_gd, "truncated decoder grad");
 }
 
-TEST(Seq2SeqCraftCache, PoolingVectorBitIdentical) {
-  expect_cached_path_bit_identical(tiny_config(3, 2), 11);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Seq2SeqAttentionGemm,
+    ::testing::Values(AttentionShape{2, 3, 2, 8, 6},      // tiny_config
+                      AttentionShape{3, 10, 10, 64, 48},  // Atari preset
+                      AttentionShape{1, 4, 1, 5, 7}));
 
-TEST(Seq2SeqCraftCache, AttentionVectorBitIdentical) {
-  Seq2SeqConfig cfg = tiny_config(3, 2);
-  cfg.use_attention = true;
-  expect_cached_path_bit_identical(cfg, 12);
-}
-
-TEST(Seq2SeqCraftCache, PoolingImageBitIdentical) {
-  Seq2SeqConfig cfg =
-      make_atari_seq2seq_config({1, 8, 8}, 3, /*n=*/2, /*m=*/2);
-  cfg.embed = 8;
-  cfg.lstm_hidden = 6;
-  expect_cached_path_bit_identical(cfg, 13);
-}
-
-TEST(Seq2SeqCraftCache, AttentionImageBitIdentical) {
-  Seq2SeqConfig cfg =
-      make_atari_seq2seq_config({1, 8, 8}, 3, /*n=*/2, /*m=*/2);
-  cfg.embed = 8;
-  cfg.lstm_hidden = 6;
-  cfg.use_attention = true;
-  expect_cached_path_bit_identical(cfg, 14);
-}
-
-/// Crafting differentiates a frozen approximator: the truncated backward,
-/// single-row and batched, and the crafts built on it — a PGD craft through
-/// a serial CraftContext and one two-participant BatchedCraftPlanner round
-/// — must neither read nor write any parameter gradient. Every gradient
-/// holds a sentinel before and must hold it bit for bit after each step.
+/// Crafting differentiates a frozen approximator: the truncated batched
+/// backward and the crafts built on it — a PGD craft through a planner-less
+/// CraftContext and one two-participant BatchedCraftPlanner round — must
+/// neither read nor write any parameter gradient. Every gradient holds a
+/// sentinel before and must hold it bit for bit after each step.
 class Seq2SeqCraftCacheParamGrads
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
@@ -350,18 +280,16 @@ TEST_P(Seq2SeqCraftCacheParamGrads, CraftingLeavesEveryParameterGradient) {
   const attack::CraftInputs second = make_inputs();
   for (const nn::Param& p : model.params()) p.grad->fill(kGradSentinel);
 
-  HistoryEncoding enc_first =
-      model.encode_history(first.action_history, first.obs_history);
-  model.forward_cached(enc_first, first.current_obs);
-  model.backward_to_current(random_tensor({1, m, a}, rng));
-  expect_grads_hold_sentinel(model, "backward_to_current");
-
-  HistoryEncoding enc_second =
-      model.encode_history(second.action_history, second.obs_history);
-  nn::Tensor rows({2, f});
-  std::copy_n(first.current_obs.raw(), f, rows.raw());
-  std::copy_n(second.current_obs.raw(), f, rows.raw() + f);
-  model.forward_cached_batch({&enc_first, &enc_second}, rows);
+  nn::Tensor actions({2, n, a}), observations({2, n, f}), rows({2, f});
+  for (std::size_t r = 0; r < 2; ++r) {
+    const attack::CraftInputs& in = r == 0 ? first : second;
+    std::copy_n(in.action_history.raw(), n * a, actions.raw() + r * n * a);
+    std::copy_n(in.obs_history.raw(), n * f, observations.raw() + r * n * f);
+    std::copy_n(in.current_obs.raw(), f, rows.raw() + r * f);
+  }
+  std::vector<HistoryEncoding> encodings =
+      model.encode_history_batch(actions, observations);
+  model.forward_cached_batch({&encodings[0], &encodings[1]}, rows);
   model.backward_to_current_batch(random_tensor({2, m, a}, rng));
   expect_grads_hold_sentinel(model, "backward_to_current_batch");
 
@@ -373,7 +301,7 @@ TEST_P(Seq2SeqCraftCacheParamGrads, CraftingLeavesEveryParameterGradient) {
     attack::PgdAttack().perturb(ctx, goal, attack::Budget{},
                                 {-5.0f, 5.0f}, craft_rng);
   }
-  expect_grads_hold_sentinel(model, "a serial PGD craft");
+  expect_grads_hold_sentinel(model, "a planner-less PGD craft");
 
   // Both participants enroll before either probes, so the two gradient
   // probes flush together as one two-row round.

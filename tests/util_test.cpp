@@ -234,7 +234,6 @@ TEST(EnvRegistry, AccessorsAgreeWhenUnset) {
     EXPECT_FALSE(env::is_set(info.var)) << info.name;
     EXPECT_FALSE(env::get_long(info.var).has_value()) << info.name;
     EXPECT_FALSE(env::get_double(info.var).has_value()) << info.name;
-    EXPECT_FALSE(env::is_zero(info.var)) << info.name;
   }
 }
 
