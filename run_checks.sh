@@ -34,7 +34,8 @@
 #   trace    trace suite (lock-free ring emitters) under TSan, then one
 #            traced instrumented experiment with RLATTACK_TRACE=1 /
 #            RLATTACK_TRACE_OUT; validates the Chrome trace-event JSON
-#            parses and carries pool/episode/phase timeline events
+#            parses, carries pool/episode/phase timeline events and that
+#            the complete events of each tid nest
 #   simd     default build + the kernel, GEMM operand-path, layer
 #            (backward vs backward_input), attention-GEMM, craft-path
 #            parity and craft parameter-gradient suites run twice, once
@@ -43,12 +44,14 @@
 #   rendezvous
 #            the episode driver's parity and containment suites
 #            (Seq2SeqBatchedCraft*, the *ActBatch* agent suites, the
-#            *SerialOracle* driver suite and the *Containment* failure
-#            tests) under BOTH ASan and TSan, each run once per available
-#            GEMM kernel (RLATTACK_SIMD=avx2/scalar) — host threads share
-#            one victim and one model through the rendezvous, which
-#            memcpy-packs rows around the shared GEMMs, so the handoff gets
-#            the memory- and race-checker treatment explicitly
+#            BatchedFiberRendezvous* scheduler suite, the *SerialOracle*
+#            driver suite and the *Containment* failure tests) under BOTH
+#            ASan and TSan, each run once per available GEMM kernel
+#            (RLATTACK_SIMD=avx2/scalar) — episode fibers switch stacks on
+#            every query and share one victim and one model through the
+#            rendezvous, which memcpy-packs rows around the shared GEMMs, so
+#            the stack switches and the pool under the flushes get the
+#            memory- and race-checker treatment explicitly
 #
 # Every filtered run must select at least one test: gtest filters go through
 # run_gtest, which fails on an empty selection, and ctest runs with
@@ -162,9 +165,9 @@ EOF
 
 validate_trace_json() {
   # validate_trace_json <file>: the Chrome trace-event export must parse as
-  # JSON, every event must carry the viewer-required fields, and the
-  # timeline must show the instrumented layers (pool jobs, episode spans,
-  # per-step phases).
+  # JSON, every event must carry the viewer-required fields, the timeline
+  # must show the instrumented layers (pool jobs, episode spans, per-step
+  # phases), and the complete events of each tid must nest.
   local json="$1"
   [ -s "${json}" ] || { echo "trace export ${json} missing/empty"; return 1; }
   if command -v python3 >/dev/null 2>&1; then
@@ -186,8 +189,25 @@ for expected in ("pool.job", "episode.run", "phase.victim_step",
                  "eval.batch.flush"):
     if expected not in names:
         sys.exit(f"trace export missing '{expected}' events")
+# Complete events on one tid must nest: an event that starts inside another
+# ends inside it too (1 ns tolerance; ts and dur are in microseconds).
+tol = 0.001
+by_tid = {}
+for e in events:
+    if e["ph"] == "X":
+        by_tid.setdefault(e["tid"], []).append(e)
+for tid, evs in by_tid.items():
+    evs.sort(key=lambda e: (e["ts"], -e["dur"]))
+    stack = []
+    for e in evs:
+        while stack and stack[-1]["ts"] + stack[-1]["dur"] <= e["ts"] + tol:
+            stack.pop()
+        if stack and e["ts"] + e["dur"] > stack[-1]["ts"] + stack[-1]["dur"] + tol:
+            sys.exit(f"tid {tid}: '{e['name']}' at {e['ts']} partly overlaps "
+                     f"'{stack[-1]['name']}' at {stack[-1]['ts']}")
+        stack.append(e)
 print("TRACE export validated:", len(events), "events,",
-      len(names), "distinct names, dropped:",
+      len(names), "distinct names,", len(by_tid), "nested tids, dropped:",
       doc.get("otherData", {}).get("dropped"))
 EOF
   else
@@ -202,14 +222,16 @@ EOF
 
 run_rendezvous_suites() {
   # run_rendezvous_suites <builddir> <log>: the batched model calls, the
-  # batched agent policies, the episode driver against its serial oracle
-  # and its failure containment. The caller sets the sanitizer options and
-  # RLATTACK_SIMD.
+  # batched agent policies, the fiber scheduler, the episode driver against
+  # its serial oracle and its failure containment. The caller sets the
+  # sanitizer options and RLATTACK_SIMD.
   local dir="$1" log="$2" rc=0
   RLATTACK_THREADS=4 run_gtest "${log}" "${dir}/tests/seq2seq_batch_test" \
     'Seq2SeqBatchedCraft*' || rc=1
   RLATTACK_THREADS=4 run_gtest "${log}" "${dir}/tests/rl_test" \
     '*ActBatch*' || rc=1
+  RLATTACK_THREADS=4 run_gtest "${log}" "${dir}/tests/fiber_rendezvous_test" \
+    'BatchedFiberRendezvous*' || rc=1
   RLATTACK_THREADS=4 run_gtest "${log}" \
     "${dir}/tests/experiments_parallel_test" \
     '*SerialOracle*:*Containment*' || rc=1
@@ -397,12 +419,14 @@ run_config() {
       ;;
     rendezvous)
       # Both sanitizers reuse the asan/tsan build trees (incremental after
-      # the first run). Host threads of the rendezvous block while one of
-      # them drives the shared victim and model, so TSan sees the full
-      # handoff. The suites assert bit-identity with single-row queries, so
-      # running them once per GEMM kernel proves the contract holds under
-      # either micro-kernel. Scalar is always available; avx2 joins when
-      # the host supports it.
+      # the first run). Episode fibers park on every query while the
+      # scheduler drives the shared victim and model on the same thread,
+      # so ASan and TSan follow each stack switch through their fiber
+      # hooks, and TSan sees the pool workers under the flushes. The suites
+      # assert bit-identity with single-row queries, so running them once
+      # per GEMM kernel proves the contract holds under either
+      # micro-kernel. Scalar is always available; avx2 joins when the host
+      # supports it.
       local modes="scalar"
       if grep -q 'avx2' /proc/cpuinfo 2>/dev/null && \
          grep -q 'fma' /proc/cpuinfo 2>/dev/null; then
@@ -431,7 +455,7 @@ run_config() {
             run_rendezvous_suites build-tsan "${log}" || rc=1
         done
       fi
-      DETAIL[${name}]="episode-driver rendezvous parity and containment suites under ASan + TSan x SIMD kernels"
+      DETAIL[${name}]="episode-driver fiber rendezvous: scheduler, parity and containment suites under ASan + TSan x SIMD kernels"
       ;;
     simd)
       # Dispatch parity: the kernel/attention parity suites must pass when

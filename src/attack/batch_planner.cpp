@@ -1,35 +1,20 @@
 #include "rlattack/attack/batch_planner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <exception>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "rlattack/nn/loss.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/obs/trace.hpp"
-#include "rlattack/util/check.hpp"
-#include "rlattack/util/env.hpp"
-#include "rlattack/util/thread_pool.hpp"
+#include "rlattack/util/fiber.hpp"
 
 namespace rlattack::attack {
 
 namespace {
-
-std::size_t parse_stall_env() {
-  if (const std::optional<long> v =
-          util::env::get_long(util::env::Var::kTraceStallMs);
-      v && *v > 0)
-    return static_cast<std::size_t>(*v);
-  return 250;
-}
-
-std::atomic<std::size_t>& stall_ms() {
-  static std::atomic<std::size_t> ms{parse_stall_env()};
-  return ms;
-}
 
 // Pre-registered telemetry: per-flush batch size (how far the tail GEMMs
 // are from m = 1), plus the pack/unpack overhead the fusion pays.
@@ -41,14 +26,12 @@ struct PlannerMetrics {
   obs::Counter& probes = reg.counter("craft.batch.probes");
   obs::SpanStat& gather = reg.span("craft.batch.gather");
   obs::SpanStat& scatter = reg.span("craft.batch.scatter");
-  obs::Counter& stall = reg.counter("craft.batch.stall");
   // Episode-batched evaluation: the same rendezvous telemetry for the
   // per-step victim/approximator query family.
   obs::Histogram& eval_batch_size =
       reg.histogram("eval.batch.size", {1, 2, 4, 8, 16, 32, 64});
   obs::Counter& eval_flushes = reg.counter("eval.batch.flushes");
   obs::Counter& eval_probes = reg.counter("eval.batch.probes");
-  obs::Counter& eval_stall = reg.counter("eval.batch.stall");
 };
 PlannerMetrics& planner_metrics() {
   static PlannerMetrics metrics;
@@ -57,176 +40,70 @@ PlannerMetrics& planner_metrics() {
 
 }  // namespace
 
-std::size_t stall_watchdog_ms() noexcept {
-  return stall_ms().load(std::memory_order_relaxed);
-}
-
-void set_stall_watchdog_ms(std::size_t ms) noexcept {
-  stall_ms().store(ms == 0 ? 1 : ms, std::memory_order_relaxed);
-}
-
 BatchedCraftPlanner::BatchedCraftPlanner(seq2seq::Seq2SeqModel& model)
     : model_(model) {}
 
-BatchedCraftPlanner::~BatchedCraftPlanner() {
-  if constexpr (util::kCheckedBuild) {
-    util::MutexLock lock(mu_);
-    RLATTACK_CHECK(enrolled_ == 0 && queue_.empty() && eval_queue_.empty(),
-                   "BatchedCraftPlanner destroyed with live participants "
-                   "or pending probes");
-  }
-}
-
 void BatchedCraftPlanner::set_victim_handler(EvalHandler handler) {
-  if constexpr (util::kCheckedBuild) {
-    util::MutexLock lock(mu_);
-    RLATTACK_CHECK(enrolled_ == 0,
-                   "BatchedCraftPlanner::set_victim_handler: handler must be "
-                   "registered before participants enroll");
-  }
   victim_handler_ = std::move(handler);
 }
 
-bool BatchedCraftPlanner::has_victim_handler() const noexcept {
-  return static_cast<bool>(victim_handler_);
-}
-
-BatchedCraftPlanner::Participant::Participant(BatchedCraftPlanner& planner)
-    : planner_(planner) {
-  planner_.enroll();
-}
-
-BatchedCraftPlanner::Participant::~Participant() { retire(); }
-
-void BatchedCraftPlanner::Participant::retire() noexcept {
-  if (retired_) return;
-  retired_ = true;
-  planner_.retire();
-}
-
-void BatchedCraftPlanner::enroll() {
-  util::MutexLock lock(mu_);
-  ++enrolled_;
-  obs::trace_instant("craft.enroll", "enrolled",
-                     static_cast<double>(enrolled_));
-}
-
-void BatchedCraftPlanner::retire() noexcept {
-  util::MutexLock lock(mu_);
-  if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(enrolled_ > 0,
-                   "BatchedCraftPlanner::retire: no enrolled participants");
-  }
-  --enrolled_;
-  obs::trace_instant("craft.retire", "enrolled",
-                     static_cast<double>(enrolled_));
-  // Leaving the rendezvous can complete it: if everyone still enrolled is
-  // already waiting, the retiring thread runs the flush on their behalf.
-  if (pending_locked() > 0 && pending_locked() == enrolled_)
-    flush_ready_locked();
-}
-
-void BatchedCraftPlanner::submit(CraftProbe& probe) {
-  if constexpr (util::kCheckedBuild) {
-    // The rendezvous only terminates because every host can block
-    // independently. A global-pool worker that submitted would park a pool
-    // thread inside the rendezvous — with a pool of one that is an
-    // immediate deadlock, with more it silently serializes the kernels the
-    // flush is about to run. Hosts are plain threads (parallel_episodes);
-    // keep it that way.
-    RLATTACK_CHECK(!util::ThreadPool::inside_worker(),
-                   "BatchedCraftPlanner::submit called from a thread-pool "
-                   "worker; rendezvous hosts must be dedicated threads");
-  }
-  util::MutexLock lock(mu_);
-  if constexpr (util::kCheckedBuild) {
-    // A probe from a thread without a live Participant could make
-    // pending_locked() exceed enrolled_ and deadlock the rendezvous.
-    RLATTACK_CHECK(enrolled_ > pending_locked(),
-                   "BatchedCraftPlanner::submit: probe without a live "
-                   "Participant enrollment");
-  }
-  queue_.push_back(&probe);
-  if (pending_locked() == enrolled_) {
-    // Last arrival executes the whole batch; everyone else is parked on
-    // cv_ below, so holding mu_ through the model work is deadlock-free.
-    flush_ready_locked();
-  } else {
-    // The wait is a span, so a stalled rendezvous shows as a wide
-    // craft.submit_wait block in the timeline rather than a blank gap.
-    obs::TraceScope trace("craft.submit_wait", "queued",
-                          static_cast<double>(queue_.size()));
-    // Explicit wait loop: probe.done is written by the flushing thread
-    // under mu_, and reading it here keeps the guarded access inside this
-    // annotated scope (see thread_safety.hpp conventions).
-    if constexpr (util::kCheckedBuild) {
-      // Stall watchdog: each elapsed interval without an answer fires the
-      // craft.batch.stall counter and an instant trace event. Spurious
-      // wakes re-arm the interval, so a firing means at least interval ms
-      // of real waiting since the previous check — precise enough for
-      // liveness triage.
-      const auto interval =
-          std::chrono::milliseconds(static_cast<long>(stall_watchdog_ms()));
-      while (!probe.done) {
-        if (cv_.wait_for(lock.native_lock(), interval) ==
-                std::cv_status::timeout &&
-            !probe.done) {
-          planner_metrics().stall.add();
-          obs::trace_instant("craft.batch.stall", "interval_ms",
-                             static_cast<double>(stall_watchdog_ms()));
-        }
-      }
-    } else {
-      while (!probe.done) cv_.wait(lock.native_lock());
+void BatchedCraftPlanner::run(std::size_t fibers,
+                              const std::function<void(std::size_t)>& body) {
+  if (in_fiber_)
+    throw std::logic_error("BatchedCraftPlanner::run: called from a fiber "
+                           "of its own rendezvous");
+  std::vector<std::unique_ptr<util::Fiber>> pool;
+  pool.reserve(fibers);
+  for (std::size_t f = 0; f < fibers; ++f)
+    pool.push_back(std::make_unique<util::Fiber>([&body, f] { body(f); }));
+  for (;;) {
+    // One round: every unfinished fiber runs until it submits a probe or
+    // finishes, so afterwards every unfinished fiber waits on one probe.
+    std::size_t live = 0;
+    for (const std::unique_ptr<util::Fiber>& fiber : pool) {
+      if (fiber->finished()) continue;
+      in_fiber_ = true;
+      fiber->resume();
+      in_fiber_ = false;
+      if (!fiber->finished()) ++live;
     }
+    if (live == 0) break;
+    flush();
+  }
+  for (const std::unique_ptr<util::Fiber>& fiber : pool)
+    if (fiber->error()) std::rethrow_exception(fiber->error());
+}
+
+namespace {
+
+/// Queues `probe` and parks the calling fiber until the flush that answers
+/// it; the park is a trace span, so the timeline shows each episode's wait.
+template <class Probe>
+void park(bool in_fiber, std::vector<Probe*>& queue, Probe& probe,
+          const char* wait_span) {
+  if (!in_fiber)
+    throw std::logic_error(
+        "BatchedCraftPlanner::submit outside a running rendezvous");
+  queue.push_back(&probe);
+  {
+    obs::TraceScope trace(wait_span, "queued",
+                          static_cast<double>(queue.size()));
+    util::Fiber::yield();
   }
   if (probe.error) std::rethrow_exception(probe.error);
+}
+
+}  // namespace
+
+void BatchedCraftPlanner::submit(CraftProbe& probe) {
+  park(in_fiber_, queue_, probe, "craft.submit_wait");
 }
 
 void BatchedCraftPlanner::submit(EvalProbe& probe) {
-  if constexpr (util::kCheckedBuild) {
-    // Same host discipline as craft probes: rendezvous hosts must be
-    // dedicated threads, never global-pool workers (see submit(CraftProbe&)).
-    RLATTACK_CHECK(!util::ThreadPool::inside_worker(),
-                   "BatchedCraftPlanner::submit called from a thread-pool "
-                   "worker; rendezvous hosts must be dedicated threads");
-    RLATTACK_CHECK(has_victim_handler(),
-                   "BatchedCraftPlanner::submit(EvalProbe): no victim "
-                   "handler registered");
-  }
-  util::MutexLock lock(mu_);
-  if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(enrolled_ > pending_locked(),
-                   "BatchedCraftPlanner::submit: eval probe without a live "
-                   "Participant enrollment");
-  }
-  eval_queue_.push_back(&probe);
-  if (pending_locked() == enrolled_) {
-    flush_ready_locked();
-  } else {
-    obs::TraceScope trace("eval.submit_wait", "queued",
-                          static_cast<double>(eval_queue_.size()));
-    if constexpr (util::kCheckedBuild) {
-      // Eval-side stall watchdog, mirroring the craft wait loop above.
-      const auto interval =
-          std::chrono::milliseconds(static_cast<long>(stall_watchdog_ms()));
-      while (!probe.done) {
-        if (cv_.wait_for(lock.native_lock(), interval) ==
-                std::cv_status::timeout &&
-            !probe.done) {
-          planner_metrics().eval_stall.add();
-          obs::trace_instant("eval.batch.stall", "interval_ms",
-                             static_cast<double>(stall_watchdog_ms()));
-        }
-      }
-    } else {
-      while (!probe.done) cv_.wait(lock.native_lock());
-    }
-  }
-  if (probe.error) std::rethrow_exception(probe.error);
+  park(in_fiber_, eval_queue_, probe, "eval.submit_wait");
 }
 
-void BatchedCraftPlanner::flush_ready_locked() {
+void BatchedCraftPlanner::flush() {
   // Eval probes first, craft probes second. The order is immaterial for
   // correctness — both families' batched evaluation is per-row
   // bit-identical to serial, and no probe depends on another in the same
@@ -242,7 +119,6 @@ void BatchedCraftPlanner::flush_ready_locked() {
       metrics.eval_probes.add(rows);
       metrics.eval_batch_size.record(static_cast<double>(rows));
       victim_handler_(std::span<EvalProbe* const>(eval_queue_));
-      for (EvalProbe* probe : eval_queue_) probe->done = true;
       eval_queue_.clear();
     }
     if (!queue_.empty()) {
@@ -251,26 +127,18 @@ void BatchedCraftPlanner::flush_ready_locked() {
       metrics.flushes.add();
       metrics.batch_size.record(static_cast<double>(rows));
       resolve_craft_probes(model_, queue_);
-      for (CraftProbe* probe : queue_) probe->done = true;
       queue_.clear();
     }
   } catch (...) {
-    // A throwing victim handler or model must not park the other hosts:
-    // answer every probe still pending with the error (each submit rethrows
-    // it) and empty both queues, so no pointer to an unwound probe stays.
+    // A throwing victim handler or model must not strand the other
+    // episodes: answer every probe still pending with the error (each
+    // submit rethrows it) and empty both queues.
     const std::exception_ptr error = std::current_exception();
-    for (EvalProbe* probe : eval_queue_) {
-      probe->error = error;
-      probe->done = true;
-    }
-    for (CraftProbe* probe : queue_) {
-      probe->error = error;
-      probe->done = true;
-    }
+    for (EvalProbe* probe : eval_queue_) probe->error = error;
+    for (CraftProbe* probe : queue_) probe->error = error;
     eval_queue_.clear();
     queue_.clear();
   }
-  cv_.notify_all();
 }
 
 void resolve_craft_probes(seq2seq::Seq2SeqModel& model,

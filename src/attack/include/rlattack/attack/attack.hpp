@@ -68,8 +68,8 @@ class CraftContext {
  public:
   CraftContext(seq2seq::Seq2SeqModel& model, const CraftInputs& inputs);
   /// Planner-backed context: queries become probes batched across every
-  /// enrolled session. The calling thread must hold a live
-  /// BatchedCraftPlanner::Participant for the planner.
+  /// session of the planner's rendezvous. Queries must come from a fiber of
+  /// the planner's run(); elsewhere they throw std::logic_error.
   CraftContext(BatchedCraftPlanner& planner, const CraftInputs& inputs);
   CraftContext(const CraftContext&) = delete;
   CraftContext& operator=(const CraftContext&) = delete;

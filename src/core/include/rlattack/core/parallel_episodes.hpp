@@ -5,10 +5,10 @@
 // weights, attack kind, budget, policy, episode seed) because
 // AttackSession::run_episode reseeds the environment, the rollout FIFO and
 // the attack RNG from the episode seed alone. This module flattens a grid
-// into a job list, runs the jobs concurrently through one rendezvous that
-// batches their victim and approximator queries, and returns outcomes
-// indexed by job position so callers can reduce in run order —
-// bit-identical results at any thread count and any rendezvous
+// into a job list, runs the jobs as interleaved fibers through one
+// rendezvous that batches their victim and approximator queries, and
+// returns outcomes indexed by job position so callers can reduce in run
+// order — bit-identical results at any thread count and any rendezvous
 // interleaving (the same determinism contract the GEMM kernels
 // established).
 #pragma once
@@ -29,34 +29,32 @@ struct EpisodeJob {
 /// and BENCH_experiments.json.
 struct ExperimentTiming {
   double wall_seconds = 0.0;
-  std::size_t hosts = 0;     ///< concurrent episode hosts (episode_hosts)
+  std::size_t hosts = 0;     ///< episode hosts (episode_hosts)
   std::size_t episodes = 0;  ///< total episodes executed
 };
 
-/// Concurrent episode hosts run_episode_jobs runs for this job list:
+/// Episode hosts (fibers) run_episode_jobs runs for this job list:
 /// min(attack::eval_batch_width(), jobs.size()).
 std::size_t episode_hosts(const std::vector<EpisodeJob>& jobs);
 
 /// Runs every job against (victim, model) for `game`, returning outcomes
 /// indexed by job position.
 ///
-/// episode_hosts(jobs) plain host threads (never global-pool workers) pull
-/// jobs from a shared counter. They share ONE attack::BatchedCraftPlanner
-/// bound to the ORIGINAL victim and model — no clones. Every episode
-/// enrolls in its rendezvous for its whole length: per-step victim policy
-/// queries fuse into shared act_batch forwards through the planner's
-/// victim handler, and approximator queries into shared batched tail
-/// passes. A one-job list runs the same way with one host. Outcomes land
-/// at their job index and every episode is a pure function of its seed,
-/// so the result vector is bit-identical to running each job alone
-/// through AttackSession::run_episode with no planner.
+/// The jobs run on the calling thread: episode_hosts(jobs) fibers of ONE
+/// attack::BatchedCraftPlanner, bound to the ORIGINAL victim and model —
+/// no clones — pull jobs in order as their episodes end. Each episode
+/// routes every query through the planner's rendezvous: per-step victim
+/// policy queries fuse into shared act_batch forwards through its victim
+/// handler, and approximator queries into shared batched tail passes. A
+/// one-job list runs the same way with one fiber. Outcomes land at their
+/// job index and every episode is a pure function of its seed, so the
+/// result vector is bit-identical to running each job alone through
+/// AttackSession::run_episode with no planner.
 ///
-/// Concurrency: all victim and model access happens inside the
-/// rendezvous flush, one thread at a time, but two invocations do not
-/// share a rendezvous. They must not use the same victim or model at
-/// once.
+/// Concurrency: the victim and the model are used on the calling thread
+/// only; concurrent calls must not share a victim or a model.
 ///
-/// Failures: an exception in an episode — thrown on its host or inside a
+/// Failures: an exception in an episode — thrown in its fiber or inside a
 /// flush that served it — ends that job, and no host starts another job.
 /// The episodes still in flight run to their end; then the call rethrows
 /// the exception of the lowest failing job index.

@@ -83,13 +83,12 @@ class AttackSession {
   /// `episode_seed`. With no planner, every query runs on the calling
   /// thread: the victim through act(), the approximator through the craft
   /// context's one-row probes (the CLI and one-attacker path). With a
-  /// planner, the session enrolls a participant for the whole episode and
-  /// routes every victim query (an EvalProbe; the planner must have a
-  /// victim handler) and every approximator probe through its rendezvous,
-  /// so concurrent sessions share batched forwards. The outcome is
-  /// bit-identical either way. An exception — from the attack, the
-  /// checked-build trust boundary or a failed flush — propagates out, and
-  /// the participant retires as it unwinds.
+  /// planner, the call must run in a fiber of the planner's run(): the
+  /// session routes every victim query (an EvalProbe; the planner must
+  /// have a victim handler) and every approximator probe through its
+  /// rendezvous, so concurrent sessions share batched forwards. The
+  /// outcome is bit-identical either way. An exception — from the attack,
+  /// the checked-build trust boundary or a failed flush — propagates out.
   EpisodeOutcome run_episode(const AttackPolicy& policy,
                              std::uint64_t episode_seed,
                              attack::BatchedCraftPlanner* planner = nullptr);

@@ -1,9 +1,7 @@
 #include "rlattack/core/parallel_episodes.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <thread>
 
 #include "rlattack/attack/batch_planner.hpp"
 #include "rlattack/obs/metrics.hpp"
@@ -54,7 +52,7 @@ void checked_stream_purity(const EpisodeJob& job, std::size_t index,
   if constexpr (util::kCheckedBuild) {
     // Re-derive the job's RNG stream on the host that will run it: any
     // seed-plumbing or shared-state bug that makes the stream depend on
-    // *which* thread executes the job is caught before the episode
+    // *which* host executes the job is caught before the episode
     // contaminates the result vector.
     RLATTACK_CHECK(
         util::hash_rng_stream(job.seed, kCheckedRngDraws) == expected[index],
@@ -82,8 +80,8 @@ std::vector<EpisodeOutcome> run_episode_jobs(
   // One planner bound to the ORIGINAL victim and model: its victim handler
   // fuses the in-flight episodes' policy queries into one act_batch
   // forward, and their approximator queries batch through the same
-  // rendezvous. All victim and model access happens inside the flush, one
-  // thread at a time.
+  // rendezvous. All victim and model access happens inside the flush, on
+  // this thread.
   attack::BatchedCraftPlanner planner(model);
   planner.set_victim_handler(
       [&victim](
@@ -97,47 +95,34 @@ std::vector<EpisodeOutcome> run_episode_jobs(
           probes[r]->action = actions[r];
       });
 
-  // Hosts are plain threads, never global-pool workers: with a pool of one
-  // thread, a worker parked in the rendezvous would wait for hosts that
-  // never get scheduled. The GEMMs inside a flush still reach the global
-  // pool through its external-submitter path. Jobs are pulled dynamically
-  // because episode lengths vary widely. A job that throws ends its host
-  // and stops every host from pulling further jobs; its episode's
-  // participant retires on the way out, so the episodes still in flight
-  // run to their end.
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  std::atomic<bool> failed{false};
+  // Each host is a fiber of the planner's rendezvous and pulls the next job
+  // when its episode ends, because episode lengths vary widely. A job that
+  // throws ends its host and stops every host from pulling further jobs;
+  // the episodes still in flight run to their end.
+  std::size_t next = 0;
+  std::size_t completed = 0;
+  bool failed = false;
   std::vector<std::exception_ptr> errors(jobs.size());
-  {
-    std::vector<std::thread> host_threads;
-    host_threads.reserve(hosts);
-    for (std::size_t h = 0; h < hosts; ++h) {
-      host_threads.emplace_back([&] {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= jobs.size()) return;
-          try {
-            checked_stream_purity(jobs[i], i, expected);
-            outcomes[i] = run_one_job(victim, game, model, jobs[i], planner);
-            completed.fetch_add(1, std::memory_order_relaxed);
-          } catch (...) {
-            errors[i] = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
+  planner.run(hosts, [&](std::size_t /*host*/) {
+    while (!failed && next < jobs.size()) {
+      const std::size_t i = next++;
+      try {
+        checked_stream_purity(jobs[i], i, expected);
+        outcomes[i] = run_one_job(victim, game, model, jobs[i], planner);
+        ++completed;
+      } catch (...) {
+        errors[i] = std::current_exception();
+        failed = true;
+      }
     }
-    for (std::thread& t : host_threads) t.join();
-  }
+  });
   // The error of the lowest failing job index, ahead of the hole check.
   for (const std::exception_ptr& error : errors)
     if (error) std::rethrow_exception(error);
   if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(completed.load(std::memory_order_relaxed) == jobs.size(),
-                   "run_episode_jobs: " + std::to_string(completed.load()) +
-                       " of " + std::to_string(jobs.size()) +
+    RLATTACK_CHECK(completed == jobs.size(),
+                   "run_episode_jobs: " + std::to_string(completed) + " of " +
+                       std::to_string(jobs.size()) +
                        " jobs completed — outcome vector has holes");
   }
   return outcomes;

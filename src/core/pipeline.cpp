@@ -102,15 +102,10 @@ EpisodeOutcome AttackSession::run_episode(
   obs::TraceScope episode_trace("episode.run", "seed",
                                 static_cast<double>(episode_seed));
   const bool forensics = obs::forensics_enabled();
-  // With a planner, every victim and approximator query of this episode
-  // goes through its rendezvous, so concurrent episodes' rows fuse into
-  // shared forwards. The victim is queried every step, so the episode
-  // stays enrolled until it ends.
-  std::optional<attack::BatchedCraftPlanner::Participant> participant;
-  if (planner != nullptr) participant.emplace(*planner);
   // Victim policy query: serial single-row act(), or one EvalProbe through
-  // the rendezvous. Takes the observation by value — the row must outlive
-  // the blocking submit, and the serial path's act() copies it into the
+  // the planner's rendezvous, where concurrent episodes' rows fuse into
+  // shared forwards. Takes the observation by value — the row must outlive
+  // the parked submit, and the serial path's act() copies it into the
   // agent's scratch row anyway.
   const auto victim_act = [&](nn::Tensor observation) -> std::size_t {
     if (planner == nullptr) return victim_.act(observation, false);

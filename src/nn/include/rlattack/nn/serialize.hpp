@@ -17,7 +17,9 @@ bool save_parameters(Layer& model, const std::string& path);
 
 /// Loads parameters saved by save_parameters into `model`. The model must
 /// have been constructed with identical architecture (same parameter count
-/// and shapes). Returns false on I/O error or any mismatch.
+/// and shapes). Returns false on I/O error, any mismatch, a truncated file
+/// or bytes after the last tensor; the whole file is validated before any
+/// parameter is written, so a false return leaves `model` unchanged.
 bool load_parameters(Layer& model, const std::string& path);
 
 /// Same pair over an explicit parameter set (multi-input models).

@@ -1,8 +1,10 @@
 #include "rlattack/nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 namespace rlattack::nn {
 
@@ -63,6 +65,10 @@ bool load_parameters(const std::vector<Param>& params,
   std::uint64_t count = 0;
   if (!read_pod(in, count)) return false;
   if (count != params.size()) return false;
+  // Stage every tensor and reject trailing bytes before writing any
+  // parameter, so a truncated or padded file leaves the model unchanged.
+  std::vector<std::vector<float>> staged;
+  staged.reserve(params.size());
   for (const Param& p : params) {
     std::uint64_t rank = 0;
     if (!read_pod(in, rank)) return false;
@@ -72,11 +78,15 @@ bool load_parameters(const std::vector<Param>& params,
       std::uint64_t extent = 0;
       if (!read_pod(in, extent) || extent != shape[d]) return false;
     }
-    auto data = p.value->data();
+    std::vector<float>& data = staged.emplace_back(p.value->size());
     in.read(reinterpret_cast<char*>(data.data()),
             static_cast<std::streamsize>(data.size() * sizeof(float)));
     if (!in) return false;
   }
+  if (in.peek() != std::ifstream::traits_type::eof()) return false;
+  for (std::size_t i = 0; i < params.size(); ++i)
+    std::copy(staged[i].begin(), staged[i].end(),
+              params[i].value->data().begin());
   return true;
 }
 

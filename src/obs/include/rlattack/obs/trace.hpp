@@ -2,9 +2,9 @@
 // aggregates.
 //
 // Where metrics.hpp answers "how much / how long in total", this layer
-// answers "when": every instrumented site drops begin/end ("B"/"E"),
-// complete ("X", begin + duration folded into one slot) or instant ("i")
-// events into per-thread lock-free ring buffers, and the process-exit hook
+// answers "when": every instrumented site drops begin/end ("B"/"E") or
+// complete ("X", begin + duration folded into one slot) events into
+// per-thread lock-free ring buffers, and the process-exit hook
 // exports them as Chrome trace-event JSON that loads directly in
 // chrome://tracing and Perfetto (ui.perfetto.dev).
 //
@@ -28,9 +28,9 @@
 //    never copies, which is what keeps a slot one cache line.
 //
 // Naming follows the metrics scheme (DESIGN.md "Tracing & forensics"):
-// pool.job / pool.drain, episode.run / episode.job, phase.*, craft.enroll /
-// craft.submit_wait / craft.flush / craft.retire / craft.batch.stall,
-// nn.gemm.
+// pool.job / pool.drain, episodes.dispatch, episode.run / episode.job,
+// phase.*, eval.submit_wait / craft.submit_wait (an episode fiber's park),
+// eval.batch.flush / craft.flush, nn.gemm.
 #pragma once
 
 #include <atomic>
@@ -196,9 +196,6 @@ class TraceScope {
   TraceEvent ev_;  ///< ev_.name == nullptr when inert
 };
 
-/// Instant ('i') event on the global log; inert when tracing is off.
-void trace_instant(const char* name) noexcept;
-void trace_instant(const char* name, const char* k1, double v1) noexcept;
 /// Begin/end ('B'/'E') pair on the global log; prefer TraceScope (one slot
 /// instead of two) unless begin and end live in different scopes.
 void trace_begin(const char* name) noexcept;

@@ -313,26 +313,6 @@ void TraceScope::stop() noexcept {
   ev_.name = nullptr;
 }
 
-void trace_instant(const char* name) noexcept {
-  if (!trace_detail::trace_on()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.phase = 'i';
-  ev.ts_ns = trace_detail::now_ns();
-  emit_stamped(ev);
-}
-
-void trace_instant(const char* name, const char* k1, double v1) noexcept {
-  if (!trace_detail::trace_on()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.phase = 'i';
-  ev.ts_ns = trace_detail::now_ns();
-  ev.arg_key[0] = k1;
-  ev.arg_val[0] = v1;
-  emit_stamped(ev);
-}
-
 void trace_begin(const char* name) noexcept {
   if (!trace_detail::trace_on()) return;
   TraceEvent ev;

@@ -54,9 +54,6 @@ namespace rlattack::util::env {
   X(kTraceOut, "RLATTACK_TRACE_OUT",                                           \
     "path for the process-exit Chrome/Perfetto trace JSON (implies "           \
     "RLATTACK_TRACE=1 when that is unset)")                                    \
-  X(kTraceStallMs, "RLATTACK_TRACE_STALL_MS",                                  \
-    "checked builds: batched-craft rendezvous stall-watchdog interval in "     \
-    "milliseconds; default 250")                                               \
   X(kForensicsOut, "RLATTACK_FORENSICS_OUT",                                   \
     "path for the per-step attack forensics JSONL export (enables the "        \
     "stream)")

@@ -23,6 +23,8 @@
 
 namespace rlattack::util {
 
+class Fiber;
+
 class ThreadPool {
  public:
   /// Pool with `threads` total workers (including the calling thread, which
@@ -99,6 +101,13 @@ class ThreadPool {
   static void set_trace_hooks(TraceHooks hooks) noexcept;
 
  private:
+  // A fiber switch installs the running fiber's index (fiber.hpp).
+  friend class Fiber;
+  /// Installs `index` as the calling thread's index and returns the
+  /// previous one; size_t(-1) means unassigned, so the next thread_index()
+  /// takes a fresh index.
+  static std::size_t exchange_thread_index(std::size_t index) noexcept;
+
   struct Impl;
   void run_chunked(std::size_t nchunks,
                    const std::function<void(std::size_t)>& chunk_fn);

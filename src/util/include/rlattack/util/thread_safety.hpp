@@ -1,14 +1,13 @@
 // Clang Thread Safety Analysis surface for the whole concurrency substrate.
 //
 // Every mutex-owning type in the tree (util::ThreadPool, util::log,
-// obs::MetricsRegistry, attack::BatchedCraftPlanner) declares its
-// lock-ordering protocol through these macros so
-// `-Wthread-safety -Werror` (run_checks.sh config "tsa") proves lock
-// discipline on every compile — including protocols the sanitizer matrix
-// can only validate on the interleavings a test happens to execute, such as
-// the planner's "flush inline under the planner mutex, never from a pool
-// worker" rule (RLATTACK_REQUIRES on flush_ready_locked, RLATTACK_EXCLUDES
-// on the enroll/submit/retire API).
+// obs::MetricsRegistry) declares its lock-ordering protocol through these
+// macros so `-Wthread-safety -Werror` (run_checks.sh config "tsa") proves
+// lock discipline on every compile — including protocols the sanitizer
+// matrix can only validate on the interleavings a test happens to execute,
+// such as the pool's job hand-off (RLATTACK_GUARDED_BY on its queue state,
+// RLATTACK_EXCLUDES on worker_loop and run). The episode rendezvous owns no
+// lock: its episodes are fibers on one thread.
 //
 // Under any compiler without the attributes (gcc, MSVC) every macro expands
 // to nothing and util::Mutex / util::MutexLock compile down to the
@@ -18,8 +17,8 @@
 // Conventions (see DESIGN.md "Static analysis"):
 //  - Members guarded by a lock carry RLATTACK_GUARDED_BY(mu_) on the
 //    declaration; the comment says *what invariant* the lock protects.
-//  - Private "_locked" helpers take RLATTACK_REQUIRES(mu_); public entry
-//    points that take the lock themselves take RLATTACK_EXCLUDES(mu_).
+//  - Entry points that take the lock themselves take
+//    RLATTACK_EXCLUDES(mu_).
 //  - Condition-variable predicates that read guarded state are written as
 //    explicit `while (!pred) cv.wait(...)` loops in the annotated function
 //    body, never as lambdas — the analysis is function-local and cannot see
@@ -49,11 +48,6 @@
 
 /// Pointer member whose *pointee* is guarded by the named capability.
 #define RLATTACK_PT_GUARDED_BY(x) RLATTACK_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/// Function may only be called while holding the capability (it does not
-/// acquire it) — the "_locked" helper contract.
-#define RLATTACK_REQUIRES(...) \
-  RLATTACK_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
 /// Function may only be called while NOT holding the capability (it will
 /// acquire it itself; calling with it held would self-deadlock).

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <exception>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rlattack/util/env.hpp"
@@ -181,6 +182,10 @@ std::size_t ThreadPool::thread_index() noexcept {
     tls_thread_index =
         g_next_thread_index.fetch_add(1, std::memory_order_relaxed);
   return tls_thread_index;
+}
+
+std::size_t ThreadPool::exchange_thread_index(std::size_t index) noexcept {
+  return std::exchange(tls_thread_index, index);
 }
 
 namespace {

@@ -427,13 +427,13 @@ TEST(Attack, CraftContextMatchesFreeHelpersBitExactly) {
     expect_context_matches_free_helpers(ctx, *model, inputs, rng);
   }
   {
-    // A one-participant planner flushes inline on every submit, so the
-    // rendezvous path runs synchronously.
-    SCOPED_TRACE("context over a one-participant planner");
+    // A one-fiber rendezvous flushes after every submit.
+    SCOPED_TRACE("context over a one-fiber planner");
     BatchedCraftPlanner planner(*model);
-    BatchedCraftPlanner::Participant participant(planner);
-    CraftContext ctx(planner, inputs);
-    expect_context_matches_free_helpers(ctx, *model, inputs, rng);
+    planner.run(1, [&](std::size_t) {
+      CraftContext ctx(planner, inputs);
+      expect_context_matches_free_helpers(ctx, *model, inputs, rng);
+    });
   }
 }
 

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "deadline.hpp"
@@ -18,7 +17,6 @@
 #include "rlattack/core/parallel_episodes.hpp"
 #include "rlattack/nn/dense.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
-#include "rlattack/obs/metrics.hpp"
 #include "rlattack/nn/sequential.hpp"
 #include "rlattack/rl/batch.hpp"
 #include "rlattack/rl/q_agent.hpp"
@@ -400,15 +398,25 @@ TEST(CheckedInvariantsTest, OverBudgetAttackInRendezvousSurfacesCheckFailure) {
                               budget);
   core::AttackPolicy every_step;
   every_step.mode = core::AttackPolicy::Mode::kEveryStep;
-  // Two hosts in one rendezvous: the rogue session's first attacked step
+  // Two fibers in one rendezvous: the rogue session's first attacked step
   // trips the pipeline's check_perturbation, and the error surfaces from
-  // its run_episode while the other session plays on alone.
+  // the rendezvous once the other session has played on alone.
+  bool healthy_finished = false;
   testing::within_deadline(std::chrono::seconds(120), [&] {
-    std::thread other([&] { (void)healthy.run_episode(every_step, 3, &planner); });
-    EXPECT_THROW(faulty.run_episode(every_step, 4, &planner),
+    EXPECT_THROW(planner.run(2,
+                             [&](std::size_t fiber) {
+                               if (fiber == 1) {
+                                 (void)faulty.run_episode(every_step, 4,
+                                                          &planner);
+                                 return;
+                               }
+                               (void)healthy.run_episode(every_step, 3,
+                                                         &planner);
+                               healthy_finished = true;
+                             }),
                  util::CheckFailure);
-    other.join();
   });
+  EXPECT_TRUE(healthy_finished);
 }
 
 TEST(CheckedInvariantsTest, NanApproximatorSurfacesFromRunEpisodeJobs) {
@@ -431,88 +439,6 @@ TEST(CheckedInvariantsTest, NanApproximatorSurfacesFromRunEpisodeJobs) {
         core::run_episode_jobs(*victim, env::Game::kCartPole, model, jobs),
         util::CheckFailure);
   });
-}
-
-// ------------------------------------------------------ rendezvous watchdog
-
-// Negative test for the checked-build stall watchdog: a rendezvous with one
-// enrolled participant that never probes leaves the submitter parked, and
-// every elapsed watchdog interval must tick the craft.batch.stall counter.
-TEST(CheckedInvariantsTest, StallWatchdogFiresForStalledRendezvous) {
-  auto model = make_model();
-  auto inputs = make_inputs();
-  attack::BatchedCraftPlanner planner(model);
-  const std::size_t saved_ms = attack::stall_watchdog_ms();
-  const bool saved_metrics = obs::metrics_enabled();
-  attack::set_stall_watchdog_ms(10);
-  obs::set_metrics_enabled(true);
-  obs::Counter& stall =
-      obs::MetricsRegistry::global().counter("craft.batch.stall");
-  const std::uint64_t before = stall.value();
-
-  attack::BatchedCraftPlanner::Participant idle(planner);  // never probes
-  std::thread prober([&] {
-    attack::BatchedCraftPlanner::Participant me(planner);
-    attack::CraftContext ctx(planner, inputs);
-    // Parks in the rendezvous: two enrolled, one probe queued. Only the
-    // idle participant's retirement below can complete the flush.
-    (void)ctx.predict_actions();
-  });
-  // Poll rather than fixed-sleep so the test is fast when the watchdog
-  // works and only eats the full deadline when it is broken.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (stall.value() == before &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GT(stall.value(), before)
-      << "watchdog never fired for a stalled rendezvous";
-  idle.retire();  // rendezvous complete: the queued probe flushes
-  prober.join();
-  attack::set_stall_watchdog_ms(saved_ms);
-  obs::set_metrics_enabled(saved_metrics);
-}
-
-// As above for the episode-batched evaluation side of the rendezvous: a
-// parked EvalProbe submitter behind a participant that never probes must
-// tick eval.batch.stall every elapsed watchdog interval.
-TEST(CheckedInvariantsTest, EvalStallWatchdogFiresForStalledRendezvous) {
-  auto model = make_model();
-  attack::BatchedCraftPlanner planner(model);
-  planner.set_victim_handler(
-      [](std::span<attack::BatchedCraftPlanner::EvalProbe* const> probes) {
-        for (attack::BatchedCraftPlanner::EvalProbe* probe : probes)
-          probe->action = 0;
-      });
-  const std::size_t saved_ms = attack::stall_watchdog_ms();
-  const bool saved_metrics = obs::metrics_enabled();
-  attack::set_stall_watchdog_ms(10);
-  obs::set_metrics_enabled(true);
-  obs::Counter& stall =
-      obs::MetricsRegistry::global().counter("eval.batch.stall");
-  const std::uint64_t before = stall.value();
-
-  attack::BatchedCraftPlanner::Participant idle(planner);  // never probes
-  std::thread prober([&] {
-    attack::BatchedCraftPlanner::Participant me(planner);
-    const nn::Tensor observation({4});
-    attack::BatchedCraftPlanner::EvalProbe probe;
-    probe.observation = &observation;
-    // Parks in the rendezvous: two enrolled, one eval probe queued. Only
-    // the idle participant's retirement below can complete the flush.
-    planner.submit(probe);
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (stall.value() == before &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GT(stall.value(), before)
-      << "eval watchdog never fired for a stalled rendezvous";
-  idle.retire();  // rendezvous complete: the queued eval probe flushes
-  prober.join();
-  attack::set_stall_watchdog_ms(saved_ms);
-  obs::set_metrics_enabled(saved_metrics);
 }
 
 // --------------------------------------------------------- RNG stream hash

@@ -1,5 +1,5 @@
-// Bounded-time guard for tests of code that can hang (the episode
-// rendezvous parks threads on a condition variable).
+// Bounded-time guard for tests of code that can hang (an episode
+// rendezvous whose rounds never end).
 #pragma once
 
 #include <chrono>
@@ -12,7 +12,7 @@
 namespace rlattack::testing {
 
 /// Runs `body`, aborting the process if it has not returned within `limit`:
-/// a parked thread can be neither joined nor cancelled, so a hang would
+/// a hung body can be neither joined nor cancelled, so a hang would
 /// otherwise stall the whole suite.
 template <class Body>
 void within_deadline(std::chrono::seconds limit, Body body) {

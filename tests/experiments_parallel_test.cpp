@@ -14,7 +14,6 @@
 #include <chrono>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 
 #include "deadline.hpp"
 #include "rlattack/attack/batch_planner.hpp"
@@ -513,16 +512,16 @@ TEST_F(ExperimentsParallelTest, SerialOracleForensicsAttribution) {
 // --- Failure containment -------------------------------------------------
 //
 // An exception anywhere in the rendezvous — the victim inside a flush, an
-// attack on its host — must surface as that exception in the caller, in
-// bounded time, without parking the other episodes or terminating the
-// process.
+// attack in its episode's fiber — must surface as that exception in the
+// caller, in bounded time, without stranding the other episodes or
+// terminating the process.
 
 struct VictimFault : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
 /// Victim decorator whose k-th act_batch call throws. act_batch only runs
-/// inside a flush, one thread at a time, so the count needs no lock.
+/// inside a flush, on the scheduler's thread, so the count needs no lock.
 class ThrowingVictim final : public rl::Agent {
  public:
   ThrowingVictim(rl::Agent& inner, std::size_t throw_on)
@@ -605,7 +604,7 @@ TEST_F(ExperimentsParallelTest, ContainmentAttackThrowingMidEpisodeSurfaces) {
   AttackPolicy every_step;
   every_step.mode = AttackPolicy::Mode::kEveryStep;
 
-  // Two sessions in one rendezvous, on two hosts: the one whose attack
+  // Two sessions in one rendezvous, as two fibers: the one whose attack
   // throws on its third craft sees its exception; the other plays its
   // episode to the end with the same outcome as alone.
   attack::BatchedCraftPlanner planner(model);
@@ -626,17 +625,23 @@ TEST_F(ExperimentsParallelTest, ContainmentAttackThrowingMidEpisodeSurfaces) {
   AttackSession healthy(victim, env::Game::kCartPole, model, *fgsm, budget);
   EpisodeOutcome shared;
   within_deadline(std::chrono::seconds(120), [&] {
-    std::thread other(
-        [&] { shared = healthy.run_episode(every_step, 7100, &planner); });
-    EXPECT_THROW(faulty.run_episode(every_step, 7101, &planner), AttackFault);
-    other.join();
+    EXPECT_THROW(planner.run(2,
+                             [&](std::size_t fiber) {
+                               if (fiber == 0)
+                                 shared = healthy.run_episode(every_step, 7100,
+                                                              &planner);
+                               else
+                                 (void)faulty.run_episode(every_step, 7101,
+                                                          &planner);
+                             }),
+                 AttackFault);
   });
   expect_outcomes_bit_identical({shared},
                                 {healthy.run_episode(every_step, 7100)});
 
   // Through the driver, an attack that throws mid-episode: a time-bomb job
   // aimed at an action CartPole does not have fails at its trigger step,
-  // while the other jobs are enrolled in the same rendezvous.
+  // while the other jobs run in the same rendezvous.
   std::vector<EpisodeJob> jobs = reward_jobs(
       {attack::Kind::kFgsm, attack::Kind::kPgd}, {0.0f, 0.5f}, /*runs=*/2,
       /*seed=*/7200, /*random_position=*/false);

@@ -1,9 +1,14 @@
 // Losses, ops, optimizers and serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "rlattack/nn/dense.hpp"
@@ -270,6 +275,65 @@ TEST(Serialize, CorruptMagicFails) {
     out << "GARBAGEDATA";
   }
   EXPECT_FALSE(load_parameters(a, path));
+  std::filesystem::remove(path);
+}
+
+/// Bit patterns of every parameter value, to show a failed load wrote
+/// nothing.
+std::vector<std::uint32_t> parameter_bits(Layer& model) {
+  std::vector<std::uint32_t> bits;
+  for (const Param& p : model.params())
+    for (float v : p.value->data()) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Serialize, TruncatedFileFailsWithoutWritingAnyParameter) {
+  util::Rng rng1(9), rng2(10);
+  Dense a(3, 2, rng1), b(3, 2, rng2);
+  const std::string path = ::testing::TempDir() + "rlattack_truncated.ckpt";
+  ASSERT_TRUE(save_parameters(a, path));
+  const std::string whole = file_bytes(path);
+  // Layout: 16-byte header, then per parameter its rank, its extents and
+  // its floats. The cuts land in the header, in the first parameter's
+  // shape, in the middle of the first tensor, on the boundary after it and
+  // in the middle of the last tensor.
+  const std::vector<Param> params = a.params();
+  ASSERT_EQ(params.size(), 2u);
+  const std::size_t first_data = 16 + 8 + 8 * params[0].value->shape().size();
+  const std::size_t first_end = first_data + params[0].value->size() * 4;
+  ASSERT_EQ(whole.size(), first_end + 8 +
+                              8 * params[1].value->shape().size() +
+                              params[1].value->size() * 4);
+  const std::vector<std::uint32_t> before = parameter_bits(b);
+  for (const std::size_t cut :
+       {std::size_t{3}, std::size_t{16}, first_data - 4,
+        first_data + 6, first_end, whole.size() - 6, whole.size() - 1}) {
+    write_bytes(path, whole.substr(0, cut));
+    EXPECT_FALSE(load_parameters(b, path)) << "cut at " << cut;
+    EXPECT_EQ(parameter_bits(b), before) << "cut at " << cut;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Serialize, TrailingByteFailsWithoutWritingAnyParameter) {
+  util::Rng rng1(9), rng2(10);
+  Dense a(3, 2, rng1), b(3, 2, rng2);
+  const std::string path = ::testing::TempDir() + "rlattack_trailing.ckpt";
+  ASSERT_TRUE(save_parameters(a, path));
+  write_bytes(path, file_bytes(path) + '\0');
+  const std::vector<std::uint32_t> before = parameter_bits(b);
+  EXPECT_FALSE(load_parameters(b, path));
+  EXPECT_EQ(parameter_bits(b), before);
   std::filesystem::remove(path);
 }
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <tuple>
 
 #include "attention_reference.hpp"
@@ -241,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Crafting differentiates a frozen approximator: the truncated batched
 /// backward and the crafts built on it — a PGD craft through a planner-less
-/// CraftContext and one two-participant BatchedCraftPlanner round — must
+/// CraftContext and one two-fiber BatchedCraftPlanner round — must
 /// neither read nor write any parameter gradient. Every gradient holds a
 /// sentinel before and must hold it bit for bit after each step.
 class Seq2SeqCraftCacheParamGrads
@@ -303,20 +302,14 @@ TEST_P(Seq2SeqCraftCacheParamGrads, CraftingLeavesEveryParameterGradient) {
   }
   expect_grads_hold_sentinel(model, "a planner-less PGD craft");
 
-  // Both participants enroll before either probes, so the two gradient
-  // probes flush together as one two-row round.
+  // Two fibers of one rendezvous: both gradient probes are pending when the
+  // scheduler flushes, so they resolve together as one two-row round.
   attack::BatchedCraftPlanner planner(model);
-  attack::BatchedCraftPlanner::Participant p_first(planner);
-  attack::BatchedCraftPlanner::Participant p_second(planner);
-  auto probe = [&planner](const attack::CraftInputs& in,
-                          attack::BatchedCraftPlanner::Participant& me) {
+  planner.run(2, [&](std::size_t fiber) {
+    const attack::CraftInputs& in = fiber == 0 ? first : second;
     attack::CraftContext ctx(planner, in);
     (void)ctx.current_obs_gradient(0, 0, in.current_obs);
-    me.retire();
-  };
-  std::thread other(probe, std::cref(second), std::ref(p_second));
-  probe(first, p_first);
-  other.join();
+  });
   expect_grads_hold_sentinel(model, "a planner round");
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "rlattack/core/zoo.hpp"
 
@@ -58,6 +61,38 @@ TEST_F(ZooTest, VictimLoadsFromCheckpointInFreshZoo) {
   EXPECT_EQ(reloaded.victim(env::Game::kCartPole, rl::Algorithm::kDqn)
                 .act(probe, false),
             first_action);
+}
+
+TEST_F(ZooTest, TruncatedVictimCheckpointRetrainsLikeAnEmptyCache) {
+  const std::string ckpt = cache_ + "/cartpole_dqn.ckpt";
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  // Scale 0.1 trains past the DQN replay warm-up, so the checkpoint holds
+  // trained weights rather than the initial ones.
+  ZooConfig cfg = tiny_config();
+  cfg.scale = 0.1;
+  {
+    Zoo zoo(cfg);
+    (void)zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  }
+  const std::string trained = read(ckpt);
+  ASSERT_FALSE(trained.empty());
+  // Cut inside a weight tensor; the .meta sidecar still matches, so the
+  // Zoo tries the checkpoint, rejects it and retrains.
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out.write(trained.data(), static_cast<std::streamsize>(trained.size() / 2));
+  }
+  ASSERT_TRUE(std::filesystem::exists(ckpt + ".meta"));
+  {
+    Zoo zoo(cfg);
+    (void)zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
+  }
+  EXPECT_EQ(read(ckpt), trained)
+      << "the retrained victim started from half-loaded weights";
 }
 
 TEST_F(ZooTest, ApproximatorRoundTripsWithMeta) {
