@@ -165,9 +165,10 @@ EOF
 
 validate_trace_json() {
   # validate_trace_json <file>: the Chrome trace-event export must parse as
-  # JSON, every event must carry the viewer-required fields, the timeline
-  # must show the instrumented layers (pool jobs, episode spans, per-step
-  # phases), and the complete events of each tid must nest.
+  # JSON, every event must be a complete ("X") event carrying the
+  # viewer-required fields and a dur, the timeline must show the
+  # instrumented layers (pool jobs, episode spans, per-step phases), and
+  # the events of each tid must nest.
   local json="$1"
   [ -s "${json}" ] || { echo "trace export ${json} missing/empty"; return 1; }
   if command -v python3 >/dev/null 2>&1; then
@@ -182,20 +183,21 @@ for e in events:
     for key in ("name", "cat", "ph", "pid", "tid", "ts"):
         if key not in e:
             sys.exit(f"trace event missing '{key}': {e}")
-    if e["ph"] == "X" and "dur" not in e:
+    if e["ph"] != "X":
+        sys.exit(f"trace event is not a complete ('X') event: {e}")
+    if "dur" not in e:
         sys.exit(f"complete event missing 'dur': {e}")
     names.add(e["name"])
 for expected in ("pool.job", "episode.run", "phase.victim_step",
                  "eval.batch.flush"):
     if expected not in names:
         sys.exit(f"trace export missing '{expected}' events")
-# Complete events on one tid must nest: an event that starts inside another
-# ends inside it too (1 ns tolerance; ts and dur are in microseconds).
+# Events on one tid must nest: an event that starts inside another ends
+# inside it too (1 ns tolerance; ts and dur are in microseconds).
 tol = 0.001
 by_tid = {}
 for e in events:
-    if e["ph"] == "X":
-        by_tid.setdefault(e["tid"], []).append(e)
+    by_tid.setdefault(e["tid"], []).append(e)
 for tid, evs in by_tid.items():
     evs.sort(key=lambda e: (e["ts"], -e["dur"]))
     stack = []

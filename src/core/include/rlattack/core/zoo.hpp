@@ -19,14 +19,6 @@ struct ZooConfig {
   double scale = 1.0;       ///< multiplies all episode/epoch budgets
   std::uint64_t seed = 42;  ///< base seed; derived per artefact
   bool verbose = true;
-  /// Episode-worker count of the Zoo's own evaluation and observation
-  /// loops (victim_score, episodes). 0 = auto: the
-  /// RLATTACK_EXPERIMENT_THREADS env var if set, else the global
-  /// thread-pool size (RLATTACK_THREADS-aware). 1 = a serial loop on the
-  /// original victim. Results are bit-identical at any setting. The
-  /// experiment drivers do not read it: their episodes always run through
-  /// run_episode_jobs' rendezvous (parallel_episodes.hpp).
-  std::size_t experiment_threads = 0;
 };
 
 /// Reads RLATTACK_BENCH_SCALE (a positive float) from the environment;
@@ -51,7 +43,8 @@ class Zoo {
   /// the Zoo's lifetime.
   rl::Agent& victim(env::Game game, rl::Algorithm algorithm);
 
-  /// Greedy evaluation score of a victim (mean over `episodes`).
+  /// Greedy evaluation score of a victim (mean over `episodes`), played
+  /// by the victim itself through rl::evaluate_agent.
   double victim_score(env::Game game, rl::Algorithm algorithm,
                       std::size_t episodes = 10);
 
@@ -61,7 +54,8 @@ class Zoo {
   ApproximatorInfo approximator(env::Game game, rl::Algorithm source,
                                 std::size_t output_steps);
 
-  /// The observation dataset collected from a victim (cached in memory).
+  /// The observation dataset collected from a victim (cached in memory):
+  /// rl::collect_episodes run on the victim itself.
   const std::vector<env::Episode>& episodes(env::Game game,
                                             rl::Algorithm source);
 
@@ -76,13 +70,6 @@ class Zoo {
   std::size_t observation_episodes(env::Game game) const;
 
   const ZooConfig& config() const noexcept { return config_; }
-
-  /// Overrides ZooConfig::experiment_threads after construction, so tests
-  /// can compare the Zoo loops' worker counts against one set of
-  /// artefacts.
-  void set_experiment_threads(std::size_t threads) noexcept {
-    config_.experiment_threads = threads;
-  }
 
  private:
   std::string victim_key(env::Game game, rl::Algorithm algorithm) const;

@@ -12,23 +12,10 @@
 #include "rlattack/util/env.hpp"
 #include "rlattack/util/log.hpp"
 #include "rlattack/util/stats.hpp"
-#include "rlattack/util/thread_pool.hpp"
 
 namespace rlattack::core {
 
 namespace {
-
-/// Episode-worker count of the Zoo's evaluation and observation loops:
-/// `requested` > 0 wins, then RLATTACK_EXPERIMENT_THREADS (a positive
-/// integer), then the global thread-pool size.
-std::size_t resolve_experiment_threads(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const std::optional<long> v =
-          util::env::get_long(util::env::Var::kExperimentThreads);
-      v && *v > 0)
-    return static_cast<std::size_t>(*v);
-  return util::ThreadPool::global().size();
-}
 
 std::size_t scaled(std::size_t base, double scale) {
   return std::max<std::size_t>(
@@ -201,12 +188,8 @@ double Zoo::victim_score(env::Game game, rl::Algorithm algorithm,
   rl::Agent& agent = victim(game, algorithm);
   env::EnvPtr eval_env =
       env::make_agent_environment(game, config_.seed ^ 0x777u);
-  // Episodes are independently seeded, so they fan out across the episode
-  // workers; rewards come back indexed by episode, keeping the mean
-  // bit-identical to the serial loop.
-  const std::vector<double> rewards = rl::evaluate_agent_parallel(
-      agent, *eval_env, episodes, config_.seed ^ 0x777u,
-      resolve_experiment_threads(config_.experiment_threads));
+  const std::vector<double> rewards =
+      rl::evaluate_agent(agent, *eval_env, episodes, config_.seed ^ 0x777u);
   return util::mean_of(rewards);
 }
 
@@ -244,12 +227,8 @@ const std::vector<env::Episode>& Zoo::episodes(env::Game game,
       env::make_agent_environment(game, config_.seed ^ 0xBEEFu);
   util::log_info("zoo: collecting ", observation_episodes(game),
                  " observation episodes from ", key);
-  // Observation traces are collected in parallel but stored in episode
-  // order, so the approximator's training set is independent of the
-  // worker count.
-  auto eps = rl::collect_episodes_parallel(
-      agent, *obs_env, observation_episodes(game), config_.seed ^ 0xBEEFu,
-      resolve_experiment_threads(config_.experiment_threads));
+  auto eps = rl::collect_episodes(agent, *obs_env, observation_episodes(game),
+                                  config_.seed ^ 0xBEEFu);
   auto [pos, inserted] = episodes_.emplace(key, std::move(eps));
   (void)inserted;
   return pos->second;

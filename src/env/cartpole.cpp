@@ -8,10 +8,9 @@ namespace rlattack::env {
 CartPole::CartPole() : CartPole(Config{}, 1) {}
 
 CartPole::CartPole(Config config, std::uint64_t seed)
-    : config_(config), rng_(seed), seed_(seed) {}
+    : config_(config), rng_(seed) {}
 
 void CartPole::seed(std::uint64_t seed) {
-  seed_ = seed;
   rng_ = util::Rng(seed);
 }
 
@@ -76,10 +75,6 @@ StepResult CartPole::step(std::size_t action) {
   result.reward = 1.0;  // Gym CartPole grants +1 for every step taken.
   result.done = done_;
   return result;
-}
-
-std::unique_ptr<Environment> CartPole::clone() const {
-  return std::make_unique<CartPole>(config_, seed_);
 }
 
 }  // namespace rlattack::env

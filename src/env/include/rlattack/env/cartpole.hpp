@@ -39,7 +39,6 @@ class CartPole final : public Environment {
     return {-1e9f, 1e9f};
   }
   std::string name() const override { return "cartpole"; }
-  std::unique_ptr<Environment> clone() const override;
 
   const Config& config() const noexcept { return config_; }
 
@@ -48,7 +47,6 @@ class CartPole final : public Environment {
 
   Config config_;
   util::Rng rng_;
-  std::uint64_t seed_;
   double x_ = 0.0, x_dot_ = 0.0, theta_ = 0.0, theta_dot_ = 0.0;
   std::size_t steps_ = 0;
   bool done_ = true;

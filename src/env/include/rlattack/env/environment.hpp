@@ -57,10 +57,6 @@ class Environment {
 
   virtual std::string name() const = 0;
 
-  /// Independent copy with identical configuration (not identical episode
-  /// state); used to run parallel evaluations.
-  virtual std::unique_ptr<Environment> clone() const = 0;
-
   /// Flat observation element count.
   std::size_t observation_size() const {
     std::size_t n = 1;

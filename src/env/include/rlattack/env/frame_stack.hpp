@@ -30,9 +30,6 @@ class FrameStack final : public Environment {
   std::string name() const override {
     return inner_->name() + "_stack" + std::to_string(k_);
   }
-  std::unique_ptr<Environment> clone() const override {
-    return std::make_unique<FrameStack>(inner_->clone(), k_);
-  }
 
   std::size_t stack_depth() const noexcept { return k_; }
   Environment& inner() noexcept { return *inner_; }

@@ -62,7 +62,6 @@ class MiniInvaders final : public Environment {
     return {0.0f, 1.0f};
   }
   std::string name() const override { return "mini_invaders"; }
-  std::unique_ptr<Environment> clone() const override;
 
   const Config& config() const noexcept { return config_; }
   std::size_t aliens_alive() const;
@@ -78,7 +77,6 @@ class MiniInvaders final : public Environment {
 
   Config config_;
   util::Rng rng_;
-  std::uint64_t seed_;
 
   std::vector<bool> alive_;        // [rows * cols]
   std::ptrdiff_t wave_x_ = 0;      // left edge of the alien block

@@ -49,7 +49,6 @@ class MiniPong final : public Environment {
     return {0.0f, 1.0f};
   }
   std::string name() const override { return "mini_pong"; }
-  std::unique_ptr<Environment> clone() const override;
 
   const Config& config() const noexcept { return config_; }
   /// Current score as (player points, cpu points); for tests.
@@ -63,7 +62,6 @@ class MiniPong final : public Environment {
 
   Config config_;
   util::Rng rng_;
-  std::uint64_t seed_;
   double player_y_ = 0.0;  // paddle top, continuous
   double cpu_y_ = 0.0;
   double ball_x_ = 0.0, ball_y_ = 0.0;

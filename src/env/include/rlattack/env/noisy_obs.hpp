@@ -29,7 +29,6 @@ class NoisyObservationWrapper final : public Environment {
   std::string name() const override {
     return inner_->name() + "_noisy";
   }
-  std::unique_ptr<Environment> clone() const override;
 
   float stddev() const noexcept { return stddev_; }
 
@@ -39,7 +38,6 @@ class NoisyObservationWrapper final : public Environment {
   EnvPtr inner_;
   float stddev_;
   util::Rng rng_;
-  std::uint64_t seed_;
 };
 
 }  // namespace rlattack::env

@@ -22,7 +22,8 @@ bool save_episodes(const std::vector<Episode>& episodes,
                    const std::string& path);
 
 /// Loads traces written by save_episodes. Returns std::nullopt on I/O or
-/// format errors.
+/// format errors, including counts the file cannot hold and bytes after
+/// the last episode; a corrupt file never throws.
 std::optional<std::vector<Episode>> load_episodes(const std::string& path);
 
 }  // namespace rlattack::env

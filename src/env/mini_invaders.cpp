@@ -17,7 +17,7 @@ constexpr float kShieldShade = 0.5f;
 MiniInvaders::MiniInvaders() : MiniInvaders(Config{}, 1) {}
 
 MiniInvaders::MiniInvaders(Config config, std::uint64_t seed)
-    : config_(config), rng_(seed), seed_(seed) {
+    : config_(config), rng_(seed) {
   if (config_.width < 8 || config_.height < 10)
     throw std::logic_error("MiniInvaders: field too small");
   const std::size_t wave_width =
@@ -27,7 +27,6 @@ MiniInvaders::MiniInvaders(Config config, std::uint64_t seed)
 }
 
 void MiniInvaders::seed(std::uint64_t seed) {
-  seed_ = seed;
   rng_ = util::Rng(seed);
 }
 
@@ -277,10 +276,6 @@ nn::Tensor MiniInvaders::render() const {
   if (bullet_active_) put(bullet_x_, bullet_y_, kBulletShade);
   for (const auto& bomb : bombs_) put(bomb.x, bomb.y, kBombShade);
   return frame;
-}
-
-std::unique_ptr<Environment> MiniInvaders::clone() const {
-  return std::make_unique<MiniInvaders>(config_, seed_);
 }
 
 }  // namespace rlattack::env

@@ -15,7 +15,7 @@ constexpr float kCpuShade = 0.6f;
 MiniPong::MiniPong() : MiniPong(Config{}, 1) {}
 
 MiniPong::MiniPong(Config config, std::uint64_t seed)
-    : config_(config), rng_(seed), seed_(seed) {
+    : config_(config), rng_(seed) {
   if (config_.width < 6 || config_.height < 6)
     throw std::logic_error("MiniPong: field too small");
   if (config_.paddle_height >= config_.height)
@@ -23,7 +23,6 @@ MiniPong::MiniPong(Config config, std::uint64_t seed)
 }
 
 void MiniPong::seed(std::uint64_t seed) {
-  seed_ = seed;
   rng_ = util::Rng(seed);
 }
 
@@ -151,10 +150,6 @@ nn::Tensor MiniPong::render() const {
   if (bx >= 0 && bx < static_cast<std::ptrdiff_t>(w))
     put(ball_y_, static_cast<std::size_t>(bx), kBallShade);
   return frame;
-}
-
-std::unique_ptr<Environment> MiniPong::clone() const {
-  return std::make_unique<MiniPong>(config_, seed_);
 }
 
 }  // namespace rlattack::env

@@ -7,7 +7,7 @@ namespace rlattack::env {
 
 NoisyObservationWrapper::NoisyObservationWrapper(EnvPtr inner, float stddev,
                                                  std::uint64_t seed)
-    : inner_(std::move(inner)), stddev_(stddev), rng_(seed), seed_(seed) {
+    : inner_(std::move(inner)), stddev_(stddev), rng_(seed) {
   if (!inner_)
     throw std::logic_error("NoisyObservationWrapper: null environment");
   if (stddev_ < 0.0f)
@@ -15,7 +15,6 @@ NoisyObservationWrapper::NoisyObservationWrapper(EnvPtr inner, float stddev,
 }
 
 void NoisyObservationWrapper::seed(std::uint64_t seed) {
-  seed_ = seed;
   rng_ = util::Rng(seed ^ 0xA5A5A5A5u);
   inner_->seed(seed);
 }
@@ -33,11 +32,6 @@ StepResult NoisyObservationWrapper::step(std::size_t action) {
   StepResult result = inner_->step(action);
   result.observation = corrupt(std::move(result.observation));
   return result;
-}
-
-std::unique_ptr<Environment> NoisyObservationWrapper::clone() const {
-  return std::make_unique<NoisyObservationWrapper>(inner_->clone(), stddev_,
-                                                   seed_);
 }
 
 }  // namespace rlattack::env

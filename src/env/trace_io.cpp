@@ -62,13 +62,13 @@ std::optional<std::vector<Episode>> load_episodes(const std::string& path) {
   std::uint64_t episode_count = 0;
   if (!read_pod(in, episode_count)) return std::nullopt;
 
+  // Counts come from the file, so nothing is reserved from them: a corrupt
+  // count fails at the first missing record instead of in the allocator.
   std::vector<Episode> episodes;
-  episodes.reserve(episode_count);
   for (std::uint64_t e = 0; e < episode_count; ++e) {
     std::uint64_t steps = 0;
     if (!read_pod(in, steps)) return std::nullopt;
-    Episode episode;
-    episode.steps.reserve(steps);
+    Episode& episode = episodes.emplace_back();
     for (std::uint64_t t = 0; t < steps; ++t) {
       std::uint64_t obs_size = 0;
       if (!read_pod(in, obs_size)) return std::nullopt;
@@ -89,8 +89,8 @@ std::optional<std::vector<Episode>> load_episodes(const std::string& path) {
       step.done = done != 0;
       episode.steps.push_back(std::move(step));
     }
-    episodes.push_back(std::move(episode));
   }
+  if (in.peek() != std::ifstream::traits_type::eof()) return std::nullopt;
   return episodes;
 }
 

@@ -86,8 +86,8 @@ std::string forensics_to_jsonl() {
     std::lock_guard<std::mutex> lock(forensics_mutex());
     records = forensics_buffer();
   }
-  // Deterministic across RLATTACK_EXPERIMENT_THREADS: episode workers append
-  // in completion order, the export sorts into configuration order.
+  // Rendezvous fibers append in interleaved step order, a planner-less loop
+  // episode by episode; the export sorts both into configuration order.
   std::stable_sort(records.begin(), records.end(),
                    [](const ForensicsStep& a, const ForensicsStep& b) {
                      if (a.episode_key != b.episode_key)

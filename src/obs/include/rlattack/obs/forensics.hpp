@@ -18,8 +18,9 @@
 //    the query telemetry, the bit-identical-rows contract is stated for the
 //    *disabled* stream.
 //  - Deterministic export. Records buffer in memory and are sorted by
-//    (episode_key, seed, step) before writing, so the JSONL is byte-stable
-//    across RLATTACK_EXPERIMENT_THREADS settings.
+//    (episode_key, seed, step) before writing, so the JSONL is
+//    byte-identical whether the episodes ran interleaved as fibers of the
+//    rendezvous (run_episode_jobs) or one after another without a planner.
 //  - Layering. obs sits below core, so the detector wiring here is plain
 //    numbers (ForensicsDetector); core/pipeline.cpp builds the actual
 //    StatefulDetector from them per episode.

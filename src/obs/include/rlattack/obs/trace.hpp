@@ -2,8 +2,8 @@
 // aggregates.
 //
 // Where metrics.hpp answers "how much / how long in total", this layer
-// answers "when": every instrumented site drops begin/end ("B"/"E") or
-// complete ("X", begin + duration folded into one slot) events into
+// answers "when": every instrumented site drops complete events (begin
+// time and duration folded into one slot, Chrome phase "X") into
 // per-thread lock-free ring buffers, and the process-exit hook
 // exports them as Chrome trace-event JSON that loads directly in
 // chrome://tracing and Perfetto (ui.perfetto.dev).
@@ -65,17 +65,16 @@ void set_clock_for_testing(ClockFn fn) noexcept;  ///< nullptr restores
 bool trace_enabled() noexcept;
 void set_trace_enabled(bool on) noexcept;
 
-/// One recorded event: exactly one cache line, so two threads' slots never
-/// false-share and a ring is a flat alignas(64) array. `name`/`arg_key`
-/// point at static strings.
+/// One recorded complete event: exactly one cache line, so two threads'
+/// slots never false-share and a ring is a flat alignas(64) array.
+/// `name`/`arg_key` point at static strings.
 struct alignas(64) TraceEvent {
   const char* name = nullptr;  ///< nullptr marks a never-written slot
-  std::uint64_t ts_ns = 0;     ///< monotonic begin (or instant) time
-  std::uint64_t dur_ns = 0;    ///< 'X' events only
+  std::uint64_t ts_ns = 0;     ///< monotonic begin time
+  std::uint64_t dur_ns = 0;
   const char* arg_key[2] = {nullptr, nullptr};
   double arg_val[2] = {0.0, 0.0};
   std::uint32_t tid = 0;  ///< util::ThreadPool::thread_index of the emitter
-  char phase = 'X';       ///< 'X' complete, 'B' begin, 'E' end, 'i' instant
 };
 static_assert(sizeof(TraceEvent) == 64, "TraceEvent must stay one cache line");
 
@@ -157,16 +156,16 @@ class TraceLog {
     rings_[static_cast<std::size_t>(ev.tid) & (kRings - 1)].emit(ev);
   }
 
-  /// Merged retained events, sorted by (ts, tid, phase, name) so the output
+  /// Merged retained events, sorted by (ts, tid, name, dur) so the output
   /// is deterministic for a scripted sequence.
   std::vector<TraceEvent> events() const;
   /// Total events overwritten across all rings.
   std::uint64_t dropped() const noexcept;
   void reset() noexcept;
 
-  /// Chrome trace-event JSON ("traceEvents" array, ts/dur in microseconds,
-  /// timestamps rebased to the earliest retained event). Loads in
-  /// chrome://tracing and Perfetto unchanged.
+  /// Chrome trace-event JSON ("traceEvents" array of "ph": "X" events,
+  /// ts/dur in microseconds, timestamps rebased to the earliest retained
+  /// event). Loads in chrome://tracing and Perfetto unchanged.
   std::string to_json(const std::string& binary) const;
   /// Writes to_json to `path`; false on I/O failure.
   bool write_json(const std::string& path, const std::string& binary) const;
@@ -176,9 +175,10 @@ class TraceLog {
   std::size_t ring_capacity_;
 };
 
-/// RAII complete-event ('X') scope around the global log. A nullptr name or
-/// disabled tracing makes the scope fully inert: no clock reading, nothing
-/// recorded — the one relaxed enabled load is the entire disabled-path cost.
+/// RAII complete-event scope around the global log — the only emitter
+/// besides the ThreadPool hooks. A nullptr name or disabled tracing makes
+/// the scope fully inert: no clock reading, nothing recorded — the one
+/// relaxed enabled load is the entire disabled-path cost.
 class TraceScope {
  public:
   explicit TraceScope(const char* name) noexcept;
@@ -195,11 +195,6 @@ class TraceScope {
  private:
   TraceEvent ev_;  ///< ev_.name == nullptr when inert
 };
-
-/// Begin/end ('B'/'E') pair on the global log; prefer TraceScope (one slot
-/// instead of two) unless begin and end live in different scopes.
-void trace_begin(const char* name) noexcept;
-void trace_end(const char* name) noexcept;
 
 /// Configures the process-exit trace export: on normal exit the global log
 /// is written as Chrome trace JSON to `path` (empty disables). Bench

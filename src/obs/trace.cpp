@@ -120,7 +120,6 @@ void pool_trace_end(const char* name, std::uint64_t begin_ns, double chunks,
                     double workers) noexcept {
   TraceEvent ev;
   ev.name = name;
-  ev.phase = 'X';
   ev.ts_ns = begin_ns;
   const std::uint64_t end_ns = trace_detail::now_ns();
   ev.dur_ns = end_ns > begin_ns ? end_ns - begin_ns : 0;
@@ -188,7 +187,7 @@ std::vector<TraceEvent> TraceLog::events() const {
     all.insert(all.end(), part.begin(), part.end());
   }
   // Deterministic order for a scripted sequence: emit time, then thread,
-  // then phase/name/duration as tie-breakers. The sort moves pointers, not
+  // then name/duration as tie-breakers. The sort moves pointers, not
   // events: std::stable_sort's temporary buffer ignores alignas(64), so
   // sorting TraceEvents in place would construct them misaligned.
   std::vector<const TraceEvent*> order(all.size());
@@ -197,7 +196,6 @@ std::vector<TraceEvent> TraceLog::events() const {
                    [](const TraceEvent* a, const TraceEvent* b) {
                      if (a->ts_ns != b->ts_ns) return a->ts_ns < b->ts_ns;
                      if (a->tid != b->tid) return a->tid < b->tid;
-                     if (a->phase != b->phase) return a->phase < b->phase;
                      const int names = std::strcmp(a->name ? a->name : "",
                                                    b->name ? b->name : "");
                      if (names != 0) return names < 0;
@@ -238,14 +236,11 @@ std::string TraceLog::to_json(const std::string& binary) const {
     out << (first ? "\n" : ",\n");
     first = false;
     out << "    {\"name\": \"" << detail::json_escape(ev.name)
-        << "\", \"cat\": \"rlattack\", \"ph\": \"" << ev.phase
-        << "\", \"pid\": 1, \"tid\": " << ev.tid
-        << ", \"ts\": " << detail::fmt_double(
-               static_cast<double>(ev.ts_ns - base) / 1000.0);
-    if (ev.phase == 'X')
-      out << ", \"dur\": "
-          << detail::fmt_double(static_cast<double>(ev.dur_ns) / 1000.0);
-    if (ev.phase == 'i') out << ", \"s\": \"t\"";
+        << "\", \"cat\": \"rlattack\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
+        << ev.tid << ", \"ts\": "
+        << detail::fmt_double(static_cast<double>(ev.ts_ns - base) / 1000.0)
+        << ", \"dur\": "
+        << detail::fmt_double(static_cast<double>(ev.dur_ns) / 1000.0);
     if (ev.arg_key[0] != nullptr) {
       out << ", \"args\": {";
       for (int i = 0; i < 2; ++i) {
@@ -272,16 +267,7 @@ bool TraceLog::write_json(const std::string& path,
   return static_cast<bool>(out);
 }
 
-// --- emit helpers ----------------------------------------------------------
-
-namespace {
-
-void emit_stamped(TraceEvent& ev) noexcept {
-  ev.tid = static_cast<std::uint32_t>(util::ThreadPool::thread_index());
-  TraceLog::global().emit(ev);
-}
-
-}  // namespace
+// --- TraceScope ------------------------------------------------------------
 
 TraceScope::TraceScope(const char* name) noexcept {
   if (name == nullptr || !trace_detail::trace_on()) return;
@@ -308,27 +294,9 @@ void TraceScope::stop() noexcept {
   if (ev_.name == nullptr) return;
   const std::uint64_t end_ns = trace_detail::now_ns();
   ev_.dur_ns = end_ns > ev_.ts_ns ? end_ns - ev_.ts_ns : 0;
-  ev_.phase = 'X';
-  emit_stamped(ev_);
+  ev_.tid = static_cast<std::uint32_t>(util::ThreadPool::thread_index());
+  TraceLog::global().emit(ev_);
   ev_.name = nullptr;
-}
-
-void trace_begin(const char* name) noexcept {
-  if (!trace_detail::trace_on()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.phase = 'B';
-  ev.ts_ns = trace_detail::now_ns();
-  emit_stamped(ev);
-}
-
-void trace_end(const char* name) noexcept {
-  if (!trace_detail::trace_on()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.phase = 'E';
-  ev.ts_ns = trace_detail::now_ns();
-  emit_stamped(ev);
 }
 
 // --- export wiring ---------------------------------------------------------

@@ -60,12 +60,12 @@ class Agent {
   /// Number of discrete actions this agent selects among.
   virtual std::size_t action_count() const = 0;
 
-  /// Deep copy for parallel evaluation: a fresh agent with identical
-  /// architecture and network parameters whose greedy policy
-  /// (`act(obs, false)`) is bit-identical to this agent's. Transient
-  /// training state (replay buffers, optimizer moments, pending rollouts)
-  /// is NOT carried over — clones are for evaluation-side fan-out, one per
-  /// episode worker, not for resuming training.
+  /// Deep copy: a fresh agent with identical architecture and network
+  /// parameters whose greedy policy (`act(obs, false)`) is bit-identical to
+  /// this agent's, with forward caches and layer scratch of its own.
+  /// Transient training state (replay buffers, optimizer moments, pending
+  /// rollouts) is NOT carried over — a clone is an independent evaluation
+  /// copy, not a way to resume training.
   virtual std::unique_ptr<Agent> clone() = 0;
 
   /// In-place re-synchronisation of an existing evaluation clone with

@@ -27,37 +27,21 @@ struct TrainResult {
 TrainResult train_agent(Agent& agent, env::Environment& environment,
                         const TrainConfig& config);
 
-/// Runs `episodes` greedy (evaluation-mode) episodes; returns per-episode
-/// total rewards. Reseeds the environment from `seed` + episode index so
-/// runs are reproducible and episodes are distinct.
+/// Runs `episodes` greedy (evaluation-mode) episodes one after another on
+/// `agent` and `environment`, one act() per step; returns per-episode total
+/// rewards. Reseeds the environment from `seed` + episode index so runs are
+/// reproducible and episodes are distinct.
 std::vector<double> evaluate_agent(Agent& agent, env::Environment& environment,
                                    std::size_t episodes, std::uint64_t seed);
 
-/// As evaluate_agent, fanning the independent seeded episodes across
-/// `workers` agent/environment clone pairs on the global thread pool.
-/// Episode i keeps its serial seed (`seed + i`) and rewards are indexed by
-/// episode number, so the result is bit-identical to evaluate_agent at any
-/// worker count. `workers` <= 1 runs the serial loop on the originals.
-std::vector<double> evaluate_agent_parallel(Agent& agent,
-                                            env::Environment& environment,
-                                            std::size_t episodes,
-                                            std::uint64_t seed,
-                                            std::size_t workers);
-
 /// Collects `episodes` greedy episode traces (observation/action/reward per
 /// step) from a trained agent — the attacker's passive observation phase.
+/// Same loop and seeding as evaluate_agent.
 /// Observations recorded are the *raw environment* observations fed to the
 /// agent (post frame-stacking), exactly what a passive observer sees.
 std::vector<env::Episode> collect_episodes(Agent& agent,
                                            env::Environment& environment,
                                            std::size_t episodes,
                                            std::uint64_t seed);
-
-/// As collect_episodes, parallelised like evaluate_agent_parallel: traces
-/// land at their episode index, so the returned vector is bit-identical to
-/// the serial collection at any worker count.
-std::vector<env::Episode> collect_episodes_parallel(
-    Agent& agent, env::Environment& environment, std::size_t episodes,
-    std::uint64_t seed, std::size_t workers);
 
 }  // namespace rlattack::rl

@@ -1,10 +1,7 @@
 #include "rlattack/rl/trainer.hpp"
 
-#include <atomic>
-
 #include "rlattack/util/log.hpp"
 #include "rlattack/util/stats.hpp"
-#include "rlattack/util/thread_pool.hpp"
 
 namespace rlattack::rl {
 
@@ -17,76 +14,6 @@ double rolling_average(const std::vector<double>& rewards,
   for (std::size_t i = rewards.size() - n; i < rewards.size(); ++i)
     sum += rewards[i];
   return sum / static_cast<double>(n);
-}
-
-// One greedy evaluation episode: a pure function of (agent weights,
-// environment dynamics, seed) — both serial and parallel loops call this.
-double greedy_episode_reward(Agent& agent, env::Environment& environment,
-                             std::uint64_t seed) {
-  environment.seed(seed);
-  nn::Tensor obs = environment.reset();
-  double total = 0.0;
-  bool done = false;
-  while (!done) {
-    const std::size_t action = agent.act(obs, /*explore=*/false);
-    env::StepResult sr = environment.step(action);
-    total += sr.reward;
-    done = sr.done;
-    obs = std::move(sr.observation);
-  }
-  return total;
-}
-
-// One greedy trace-collection episode, same purity contract.
-env::Episode greedy_episode_trace(Agent& agent, env::Environment& environment,
-                                  std::uint64_t seed) {
-  environment.seed(seed);
-  env::Episode episode;
-  nn::Tensor obs = environment.reset();
-  bool done = false;
-  while (!done) {
-    const std::size_t action = agent.act(obs, /*explore=*/false);
-    env::StepResult sr = environment.step(action);
-    env::Transition t;
-    t.observation = obs;
-    t.action = action;
-    t.reward = sr.reward;
-    t.done = sr.done;
-    episode.steps.push_back(std::move(t));
-    done = sr.done;
-    obs = std::move(sr.observation);
-  }
-  return episode;
-}
-
-// Fans `episodes` independent units across `workers` agent/environment
-// clone pairs; unit i runs with seed `seed + i` and writes result slot i.
-template <typename Result, typename RunOne>
-void for_each_episode_parallel(Agent& agent, env::Environment& environment,
-                               std::size_t episodes, std::uint64_t seed,
-                               std::size_t workers,
-                               std::vector<Result>& results,
-                               const RunOne& run_one) {
-  struct Worker {
-    AgentPtr agent;
-    std::unique_ptr<env::Environment> environment;
-  };
-  std::vector<Worker> pool_workers;
-  pool_workers.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    pool_workers.push_back({agent.clone(), environment.clone()});
-
-  std::atomic<std::size_t> next{0};
-  util::ThreadPool::global().parallel_for_chunks(
-      workers, 1, [&](std::size_t w, std::size_t, std::size_t) {
-        Worker& worker = pool_workers[w];
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= episodes) return;
-          results[i] =
-              run_one(*worker.agent, *worker.environment, seed + i);
-        }
-      });
 }
 }  // namespace
 
@@ -128,22 +55,20 @@ std::vector<double> evaluate_agent(Agent& agent,
                                    std::size_t episodes, std::uint64_t seed) {
   std::vector<double> rewards;
   rewards.reserve(episodes);
-  for (std::size_t ep = 0; ep < episodes; ++ep)
-    rewards.push_back(greedy_episode_reward(agent, environment, seed + ep));
-  return rewards;
-}
-
-std::vector<double> evaluate_agent_parallel(Agent& agent,
-                                            env::Environment& environment,
-                                            std::size_t episodes,
-                                            std::uint64_t seed,
-                                            std::size_t workers) {
-  workers = std::min(workers == 0 ? std::size_t{1} : workers, episodes);
-  if (workers <= 1)
-    return evaluate_agent(agent, environment, episodes, seed);
-  std::vector<double> rewards(episodes, 0.0);
-  for_each_episode_parallel(agent, environment, episodes, seed, workers,
-                            rewards, greedy_episode_reward);
+  for (std::size_t ep = 0; ep < episodes; ++ep) {
+    environment.seed(seed + ep);
+    nn::Tensor obs = environment.reset();
+    double total = 0.0;
+    bool done = false;
+    while (!done) {
+      const std::size_t action = agent.act(obs, /*explore=*/false);
+      env::StepResult sr = environment.step(action);
+      total += sr.reward;
+      done = sr.done;
+      obs = std::move(sr.observation);
+    }
+    rewards.push_back(total);
+  }
   return rewards;
 }
 
@@ -153,20 +78,24 @@ std::vector<env::Episode> collect_episodes(Agent& agent,
                                            std::uint64_t seed) {
   std::vector<env::Episode> out;
   out.reserve(episodes);
-  for (std::size_t ep = 0; ep < episodes; ++ep)
-    out.push_back(greedy_episode_trace(agent, environment, seed + ep));
-  return out;
-}
-
-std::vector<env::Episode> collect_episodes_parallel(
-    Agent& agent, env::Environment& environment, std::size_t episodes,
-    std::uint64_t seed, std::size_t workers) {
-  workers = std::min(workers == 0 ? std::size_t{1} : workers, episodes);
-  if (workers <= 1)
-    return collect_episodes(agent, environment, episodes, seed);
-  std::vector<env::Episode> out(episodes);
-  for_each_episode_parallel(agent, environment, episodes, seed, workers, out,
-                            greedy_episode_trace);
+  for (std::size_t ep = 0; ep < episodes; ++ep) {
+    environment.seed(seed + ep);
+    env::Episode& episode = out.emplace_back();
+    nn::Tensor obs = environment.reset();
+    bool done = false;
+    while (!done) {
+      const std::size_t action = agent.act(obs, /*explore=*/false);
+      env::StepResult sr = environment.step(action);
+      env::Transition t;
+      t.observation = obs;
+      t.action = action;
+      t.reward = sr.reward;
+      t.done = sr.done;
+      episode.steps.push_back(std::move(t));
+      done = sr.done;
+      obs = std::move(sr.observation);
+    }
+  }
   return out;
 }
 

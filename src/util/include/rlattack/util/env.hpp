@@ -36,9 +36,6 @@ namespace rlattack::util::env {
   X(kThreads, "RLATTACK_THREADS",                                              \
     "worker count of util::ThreadPool::global(); default "                     \
     "hardware_concurrency")                                                    \
-  X(kExperimentThreads, "RLATTACK_EXPERIMENT_THREADS",                         \
-    "episode-worker count of the Zoo's evaluation and observation loops; "     \
-    "default: pool size")                                                      \
   X(kLogLevel, "RLATTACK_LOG_LEVEL",                                           \
     "startup log level: debug|info|warn|error or 0-3; default info")           \
   X(kSimd, "RLATTACK_SIMD",                                                    \

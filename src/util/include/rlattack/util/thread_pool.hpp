@@ -83,8 +83,9 @@ class ThreadPool {
   /// True when the calling thread is currently executing a parallel_for
   /// chunk (a pool worker, or the submitting thread while it helps drain).
   /// Any parallel_for issued in this state runs caller-inline — the
-  /// nested-parallelism rule that lets episode-level fan-out wrap the GEMM
-  /// kernels without deadlock or oversubscription.
+  /// nested-parallelism rule that lets Conv2D's per-item forward and
+  /// backward loops call sgemm from inside their pool chunks without
+  /// deadlock or oversubscription.
   static bool inside_worker() noexcept;
 
   /// Timeline-tracing hooks. util cannot depend on obs, so the tracing

@@ -1,10 +1,12 @@
 // CLI argument parsing and episode-trace serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 
 #include "rlattack/env/cartpole.hpp"
-#include <fstream>
 #include "rlattack/env/trace_io.hpp"
 #include "rlattack/rl/factory.hpp"
 #include "rlattack/rl/trainer.hpp"
@@ -109,6 +111,78 @@ TEST(TraceIo, MissingAndCorruptFilesFail) {
   }
   EXPECT_FALSE(env::load_episodes(path).has_value());
   std::filesystem::remove(path);
+}
+
+// A valid one-episode, two-step trace at `name` in the test temp dir.
+std::string write_trace(const std::string& name) {
+  env::Episode episode;
+  for (std::size_t t = 0; t < 2; ++t) {
+    env::Transition step;
+    step.observation = nn::Tensor({4}, {0.1f, 0.2f, 0.3f, 0.4f});
+    step.action = t;
+    step.reward = 1.0;
+    step.done = t == 1;
+    episode.steps.push_back(std::move(step));
+  }
+  const std::string path = ::testing::TempDir() + name;
+  EXPECT_TRUE(env::save_episodes({episode}, path));
+  EXPECT_TRUE(env::load_episodes(path).has_value());
+  return path;
+}
+
+// Byte offsets in the format (trace_io.hpp): magic (4) | version (4) |
+// episode_count (8) | the first episode's step_count (8) | the first
+// step's obs_size (8).
+constexpr std::streamoff kEpisodeCountOffset = 8;
+constexpr std::streamoff kFirstStepCountOffset = 16;
+constexpr std::streamoff kFirstObsSizeOffset = 24;
+
+void overwrite_u64(const std::string& path, std::streamoff offset,
+                   std::uint64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// A corrupt file comes back as nullopt, never as an exception.
+void expect_rejected(const std::string& path) {
+  std::optional<std::vector<env::Episode>> loaded;
+  EXPECT_NO_THROW(loaded = env::load_episodes(path));
+  EXPECT_FALSE(loaded.has_value());
+  std::filesystem::remove(path);
+}
+
+TEST(TraceIo, HugeEpisodeCountFailsWithoutThrowing) {
+  const std::string path = write_trace("rlattack_huge_episodes.rltr");
+  overwrite_u64(path, kEpisodeCountOffset, UINT64_MAX);
+  expect_rejected(path);
+}
+
+TEST(TraceIo, HugeStepCountFailsWithoutThrowing) {
+  const std::string path = write_trace("rlattack_huge_steps.rltr");
+  overwrite_u64(path, kFirstStepCountOffset, UINT64_MAX);
+  expect_rejected(path);
+}
+
+TEST(TraceIo, HugeObservationSizeFailsWithoutThrowing) {
+  const std::string path = write_trace("rlattack_huge_obs.rltr");
+  overwrite_u64(path, kFirstObsSizeOffset, UINT64_MAX);
+  expect_rejected(path);
+}
+
+TEST(TraceIo, TruncatedFileFails) {
+  const std::string path = write_trace("rlattack_truncated.rltr");
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  expect_rejected(path);
+}
+
+TEST(TraceIo, TrailingByteFails) {
+  const std::string path = write_trace("rlattack_trailing.rltr");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.put('\0');
+  }
+  expect_rejected(path);
 }
 
 }  // namespace

@@ -155,14 +155,6 @@ TEST_P(PixelEnvTest, DifferentSeedsDiverge) {
   EXPECT_TRUE(r1.first != r2.first || r1.second != r2.second);
 }
 
-TEST_P(PixelEnvTest, CloneHasSameConfiguration) {
-  EnvPtr env = make_environment(GetParam(), 19);
-  EnvPtr copy = env->clone();
-  EXPECT_EQ(env->action_count(), copy->action_count());
-  EXPECT_EQ(env->observation_shape(), copy->observation_shape());
-  EXPECT_EQ(env->name(), copy->name());
-}
-
 INSTANTIATE_TEST_SUITE_P(Games, PixelEnvTest,
                          ::testing::Values(Game::kCartPole, Game::kMiniPong,
                                            Game::kMiniInvaders));

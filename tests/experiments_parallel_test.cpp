@@ -24,6 +24,7 @@
 #include "rlattack/rl/agent.hpp"
 #include "rlattack/rl/batch.hpp"
 #include "rlattack/seq2seq/model.hpp"
+#include "rlattack/util/thread_pool.hpp"
 
 namespace rlattack::core {
 namespace {
@@ -60,6 +61,8 @@ class ExperimentsParallelTest : public ::testing::Test {
 };
 
 std::string ExperimentsParallelTest::cache_;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST_F(ExperimentsParallelTest, RewardExperimentBitIdenticalAcrossThreads) {
   Zoo zoo = make_tiny_zoo();
@@ -158,44 +161,52 @@ TEST_F(ExperimentsParallelTest, TimebombExperimentBitIdenticalAcrossThreads) {
 }
 
 TEST_F(ExperimentsParallelTest, ZooEpisodeLoopsBitIdenticalAcrossThreads) {
-  // Zoo::victim_score and Zoo::episodes fan their independently seeded
-  // episodes over the same runner; scores and traces must not depend on
-  // the worker count.
-  Zoo serial_zoo = make_tiny_zoo();
-  serial_zoo.set_experiment_threads(1);
-  Zoo parallel_zoo = make_tiny_zoo();  // same cache: identical artefacts
-  parallel_zoo.set_experiment_threads(4);
+  // Zoo::victim_score and Zoo::episodes play their seeded greedy episodes
+  // one after another on the victim itself; only the kernels inside each
+  // forward reach the pool. Scores and traces must not depend on its size.
+  struct PoolRestore {
+    ~PoolRestore() { util::ThreadPool::reset_global(0); }
+  } restore;
+  struct Loops {
+    double score = 0.0;
+    std::vector<env::Episode> episodes;
+  };
+  const auto run_loops = [](std::size_t threads) {
+    util::ThreadPool::reset_global(threads);
+    Zoo zoo = make_tiny_zoo();  // same cache: identical artefacts
+    Loops out;
+    out.score =
+        zoo.victim_score(env::Game::kCartPole, rl::Algorithm::kDqn, 6);
+    out.episodes = zoo.episodes(env::Game::kCartPole, rl::Algorithm::kDqn);
+    return out;
+  };
+  const Loops serial = run_loops(1);
+  const Loops pooled = run_loops(4);
 
-  const double serial_score =
-      serial_zoo.victim_score(env::Game::kCartPole, rl::Algorithm::kDqn, 6);
-  const double parallel_score =
-      parallel_zoo.victim_score(env::Game::kCartPole, rl::Algorithm::kDqn, 6);
-  EXPECT_EQ(serial_score, parallel_score);
-
-  const auto& serial_eps =
-      serial_zoo.episodes(env::Game::kCartPole, rl::Algorithm::kDqn);
-  const auto& parallel_eps =
-      parallel_zoo.episodes(env::Game::kCartPole, rl::Algorithm::kDqn);
-  ASSERT_EQ(serial_eps.size(), parallel_eps.size());
-  for (std::size_t e = 0; e < serial_eps.size(); ++e) {
-    ASSERT_EQ(serial_eps[e].steps.size(), parallel_eps[e].steps.size())
-        << "episode " << e;
-    for (std::size_t s = 0; s < serial_eps[e].steps.size(); ++s) {
-      const auto& a = serial_eps[e].steps[s];
-      const auto& b = parallel_eps[e].steps[s];
+  EXPECT_EQ(bits(serial.score), bits(pooled.score));
+  ASSERT_EQ(serial.episodes.size(), pooled.episodes.size());
+  for (std::size_t e = 0; e < serial.episodes.size(); ++e) {
+    const auto& serial_steps = serial.episodes[e].steps;
+    const auto& pooled_steps = pooled.episodes[e].steps;
+    ASSERT_EQ(serial_steps.size(), pooled_steps.size()) << "episode " << e;
+    for (std::size_t s = 0; s < serial_steps.size(); ++s) {
+      const env::Transition& a = serial_steps[s];
+      const env::Transition& b = pooled_steps[s];
       EXPECT_EQ(a.action, b.action) << "episode " << e << " step " << s;
-      EXPECT_EQ(a.reward, b.reward) << "episode " << e << " step " << s;
+      EXPECT_EQ(bits(a.reward), bits(b.reward))
+          << "episode " << e << " step " << s;
       EXPECT_EQ(a.done, b.done) << "episode " << e << " step " << s;
-      ASSERT_EQ(a.observation.size(), b.observation.size());
+      ASSERT_EQ(a.observation.shape(), b.observation.shape());
       for (std::size_t i = 0; i < a.observation.size(); ++i)
-        ASSERT_EQ(a.observation[i], b.observation[i])
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a.observation[i]),
+                  std::bit_cast<std::uint32_t>(b.observation[i]))
             << "episode " << e << " step " << s << " obs " << i;
     }
   }
 }
 
 TEST_F(ExperimentsParallelTest, CloneContractHoldsForAgents) {
-  // The Zoo loops run each worker's episodes on a victim clone.
+  // A clone is an independent evaluation copy with the same greedy policy.
   Zoo zoo = make_tiny_zoo();
   rl::Agent& victim = zoo.victim(env::Game::kCartPole, rl::Algorithm::kDqn);
   rl::AgentPtr copy = victim.clone();
@@ -308,8 +319,6 @@ std::vector<EpisodeOutcome> run_jobs_serially(
   }
   return outcomes;
 }
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 void expect_outcomes_bit_identical(const std::vector<EpisodeOutcome>& actual,
                                    const std::vector<EpisodeOutcome>& oracle) {

@@ -61,13 +61,6 @@ TEST(NoisyObs, InvalidConstruction) {
                std::logic_error);
 }
 
-TEST(NoisyObs, CloneKeepsNoiseScale) {
-  env::NoisyObservationWrapper env(
-      std::make_unique<env::CartPole>(env::CartPole::Config{}, 1), 0.25f, 1);
-  auto copy = env.clone();
-  EXPECT_EQ(copy->name(), "cartpole_noisy");
-}
-
 TEST(AttackStride, ReducesAttackCount) {
   rl::AgentPtr victim = rl::make_dqn_agent(rl::ObsSpec{{4}}, 2, 41);
   seq2seq::Seq2SeqConfig cfg = seq2seq::make_cartpole_seq2seq_config(4, 1);

@@ -444,12 +444,12 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_EQ(total.load(), 100);
 }
 
-TEST(ThreadPool, EpisodeFanOutNestsGemmWithoutDeadlockOrDrift) {
-  // Production shape of the episode-parallel experiment drivers: worker
-  // loops run as chunks on the *global* pool, and every nn forward inside
-  // an episode issues GEMM parallel_fors against that same pool. The
-  // nested calls must run caller-inline (no deadlock, no oversubscription)
-  // and produce bits identical to the same GEMM computed outside the pool.
+TEST(ThreadPool, PoolChunksNestGemmWithoutDeadlockOrDrift) {
+  // Production shape of Conv2D's per-item loops: chunks run on the *global*
+  // pool, and each one issues GEMM parallel_fors against that same pool.
+  // The nested calls must run caller-inline (no deadlock, no
+  // oversubscription) and produce bits identical to the same GEMM computed
+  // outside the pool.
   util::Rng rng(99);
   const std::size_t m = 33, n = 27, k = 41;
   Tensor a = random_tensor({m, k}, rng);
@@ -469,7 +469,7 @@ TEST(ThreadPool, EpisodeFanOutNestsGemmWithoutDeadlockOrDrift) {
         Tensor c({m, n});
         kernels::sgemm(Trans::kNo, Trans::kNo, m, n, k, a.raw(), k, b.raw(),
                        n, c.raw(), n,
-                       false);  // nested under an episode worker
+                       false);  // nested under a pool chunk
         results[w] = std::move(c);
       });
   // With >1 pool threads every chunk must see the inside-worker flag; a

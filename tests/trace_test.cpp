@@ -37,11 +37,10 @@ std::uint64_t counting_clock() noexcept {
   return 1000 * (1 + g_clock_calls.fetch_add(1, std::memory_order_relaxed));
 }
 
-TraceEvent make_event(const char* name, char phase, std::uint64_t ts_ns,
+TraceEvent make_event(const char* name, std::uint64_t ts_ns,
                       std::uint32_t tid, std::uint64_t dur_ns = 0) {
   TraceEvent ev;
   ev.name = name;
-  ev.phase = phase;
   ev.ts_ns = ts_ns;
   ev.dur_ns = dur_ns;
   ev.tid = tid;
@@ -58,7 +57,7 @@ TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {
 TEST(TraceRingTest, SnapshotBeforeWrapKeepsEverythingInOrder) {
   TraceRing ring(4);
   for (std::uint64_t i = 1; i <= 3; ++i)
-    ring.emit(make_event("e", 'X', i, 0));
+    ring.emit(make_event("e", i, 0));
   EXPECT_EQ(ring.emitted(), 3u);
   EXPECT_EQ(ring.dropped(), 0u);
   const std::vector<TraceEvent> events = ring.snapshot();
@@ -69,7 +68,7 @@ TEST(TraceRingTest, SnapshotBeforeWrapKeepsEverythingInOrder) {
 TEST(TraceRingTest, WraparoundOverwritesOldest) {
   TraceRing ring(4);
   for (std::uint64_t i = 1; i <= 6; ++i)
-    ring.emit(make_event("e", 'X', i, 0));
+    ring.emit(make_event("e", i, 0));
   EXPECT_EQ(ring.emitted(), 6u);
   EXPECT_EQ(ring.dropped(), 2u);  // events ts=1,2 were overwritten
   const std::vector<TraceEvent> events = ring.snapshot();
@@ -81,7 +80,7 @@ TEST(TraceRingTest, WraparoundOverwritesOldest) {
 TEST(TraceRingTest, ResetForgetsHistory) {
   TraceRing ring(4);
   for (std::uint64_t i = 1; i <= 9; ++i)
-    ring.emit(make_event("e", 'X', i, 0));
+    ring.emit(make_event("e", i, 0));
   ring.reset();
   EXPECT_EQ(ring.emitted(), 0u);
   EXPECT_EQ(ring.dropped(), 0u);
@@ -89,29 +88,30 @@ TEST(TraceRingTest, ResetForgetsHistory) {
 }
 
 // Exporter golden on a local log with manually-stamped events: timestamps
-// rebase to the earliest event, events sort by (ts, tid, phase, name), and
-// dur/"s"/args fields appear exactly when the phase/payload calls for them.
+// rebase to the earliest event, events sort by (ts, tid, name), every event
+// is a complete ("X") event with a dur, and args appear exactly when the
+// payload carries them.
 TEST(TraceJsonTest, ExportsDeterministicGoldenJson) {
   TraceLog log(/*ring_capacity=*/8);
 
-  TraceEvent run = make_event("episode.run", 'X', 2000, 0, 4000);
+  TraceEvent run = make_event("episode.run", 2000, 0, 4000);
   run.arg_key[0] = "seed";
   run.arg_val[0] = 7.0;
   log.emit(run);
 
-  TraceEvent perturb = make_event("phase.perturb", 'X', 3000, 1, 1500);
+  TraceEvent perturb = make_event("phase.perturb", 3000, 1, 1500);
   perturb.arg_key[0] = "position";
   perturb.arg_val[0] = 1.0;
   perturb.arg_key[1] = "eps";
   perturb.arg_val[1] = 0.5;
   log.emit(perturb);
 
-  TraceEvent stall = make_event("craft.batch.stall", 'i', 2500, 2);
-  stall.arg_key[0] = "interval_ms";
-  stall.arg_val[0] = 250.0;
-  log.emit(stall);
+  TraceEvent flush = make_event("eval.batch.flush", 2500, 2, 250);
+  flush.arg_key[0] = "rows";
+  flush.arg_val[0] = 9.0;
+  log.emit(flush);
 
-  log.emit(make_event("sync", 'B', 2000, 1));
+  log.emit(make_event("sync", 2000, 1));
 
   const std::string expected =
       "{\n"
@@ -121,11 +121,11 @@ TEST(TraceJsonTest, ExportsDeterministicGoldenJson) {
       "    {\"name\": \"episode.run\", \"cat\": \"rlattack\", \"ph\": \"X\", "
       "\"pid\": 1, \"tid\": 0, \"ts\": 0, \"dur\": 4, "
       "\"args\": {\"seed\": 7}},\n"
-      "    {\"name\": \"sync\", \"cat\": \"rlattack\", \"ph\": \"B\", "
-      "\"pid\": 1, \"tid\": 1, \"ts\": 0},\n"
-      "    {\"name\": \"craft.batch.stall\", \"cat\": \"rlattack\", "
-      "\"ph\": \"i\", \"pid\": 1, \"tid\": 2, \"ts\": 0.5, \"s\": \"t\", "
-      "\"args\": {\"interval_ms\": 250}},\n"
+      "    {\"name\": \"sync\", \"cat\": \"rlattack\", \"ph\": \"X\", "
+      "\"pid\": 1, \"tid\": 1, \"ts\": 0, \"dur\": 0},\n"
+      "    {\"name\": \"eval.batch.flush\", \"cat\": \"rlattack\", "
+      "\"ph\": \"X\", \"pid\": 1, \"tid\": 2, \"ts\": 0.5, \"dur\": 0.25, "
+      "\"args\": {\"rows\": 9}},\n"
       "    {\"name\": \"phase.perturb\", \"cat\": \"rlattack\", "
       "\"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 1, \"dur\": 1.5, "
       "\"args\": {\"position\": 1, \"eps\": 0.5}}\n"
@@ -144,40 +144,38 @@ TEST(TraceJsonTest, EmptyLogStillProducesValidShape) {
 TEST(TraceJsonTest, DroppedCountSurfacesInOtherData) {
   TraceLog log(/*ring_capacity=*/2);
   for (std::uint64_t i = 1; i <= 5; ++i)
-    log.emit(make_event("e", 'X', i, 0));
+    log.emit(make_event("e", i, 0));
   EXPECT_EQ(log.dropped(), 3u);
   EXPECT_NE(log.to_json("b").find("\"dropped\": 3"), std::string::npos);
 }
 
-// events() breaks equal timestamps by thread, then phase, then name, then
-// duration, and hands back events at TraceEvent's own 64-byte alignment.
-TEST(TraceJsonTest, EventsBreakTimestampTiesByThreadPhaseNameDuration) {
+// events() breaks equal timestamps by thread, then name, then duration,
+// and hands back events at TraceEvent's own 64-byte alignment.
+TEST(TraceJsonTest, EventsBreakTimestampTiesByThreadNameDuration) {
   TraceLog log(/*ring_capacity=*/16);
   // Emitted in reverse of the expected order.
-  log.emit(make_event("b", 'X', 5, 2, 1));
-  log.emit(make_event("a", 'X', 5, 1, 9));
-  log.emit(make_event("a", 'X', 5, 1, 3));
-  log.emit(make_event("a", 'B', 5, 1));
-  log.emit(make_event("z", 'X', 5, 0));
-  log.emit(make_event("late", 'X', 6, 0));
-  log.emit(make_event("early", 'X', 4, 7));
+  log.emit(make_event("late", 6, 0));
+  log.emit(make_event("b", 5, 2, 1));
+  log.emit(make_event("c", 5, 1, 0));
+  log.emit(make_event("a", 5, 1, 9));
+  log.emit(make_event("a", 5, 1, 3));
+  log.emit(make_event("a", 5, 1, 0));
+  log.emit(make_event("z", 5, 0));
+  log.emit(make_event("early", 4, 7));
 
   const std::vector<TraceEvent> events = log.events();
-  ASSERT_EQ(events.size(), 7u);
+  ASSERT_EQ(events.size(), 8u);
   const struct {
     const char* name;
-    char phase;
     std::uint64_t ts_ns;
     std::uint32_t tid;
     std::uint64_t dur_ns;
-  } expected[] = {{"early", 'X', 4, 7, 0}, {"z", 'X', 5, 0, 0},
-                  {"a", 'B', 5, 1, 0},     {"a", 'X', 5, 1, 3},
-                  {"a", 'X', 5, 1, 9},     {"b", 'X', 5, 2, 1},
-                  {"late", 'X', 6, 0, 0}};
+  } expected[] = {{"early", 4, 7, 0}, {"z", 5, 0, 0}, {"a", 5, 1, 0},
+                  {"a", 5, 1, 3},     {"a", 5, 1, 9}, {"c", 5, 1, 0},
+                  {"b", 5, 2, 1},     {"late", 6, 0, 0}};
   for (std::size_t i = 0; i < events.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_STREQ(events[i].name, expected[i].name);
-    EXPECT_EQ(events[i].phase, expected[i].phase);
     EXPECT_EQ(events[i].ts_ns, expected[i].ts_ns);
     EXPECT_EQ(events[i].tid, expected[i].tid);
     EXPECT_EQ(events[i].dur_ns, expected[i].dur_ns);
@@ -191,7 +189,7 @@ TEST(TraceJsonTest, EventsBreakTimestampTiesByThreadPhaseNameDuration) {
 TEST(TraceJsonTest, EventsKeepEmissionOrderOnFullTies) {
   TraceLog log(/*ring_capacity=*/8);
   for (int i = 0; i < 6; ++i) {
-    TraceEvent ev = make_event("tie", 'i', 10, 3);
+    TraceEvent ev = make_event("tie", 10, 3);
     ev.arg_key[0] = "seq";
     ev.arg_val[0] = i;
     log.emit(ev);
@@ -215,8 +213,6 @@ TEST(TraceDisabledTest, HelpersTakeNoClockReadingWhenDisabled) {
     TraceScope with_args("y", "k", 1.0, "k2", 2.0);
     TraceScope null_name(nullptr, "k", 1.0);
   }
-  trace_begin("b");
-  trace_end("b");
   EXPECT_EQ(g_clock_calls.load(), 0u);
   trace_detail::set_clock_for_testing(nullptr);
 }
@@ -241,8 +237,6 @@ TEST(TraceDisabledTest, GlobalLogRecordsNothingWhenDisabled) {
   {
     TraceScope scope("episode.run", "seed", 1.0);
   }
-  trace_begin("craft.flush");
-  trace_end("craft.flush");
   EXPECT_TRUE(TraceLog::global().events().empty());
   EXPECT_EQ(TraceLog::global().dropped(), 0u);
 }
